@@ -11,19 +11,22 @@
 //!
 //! # Round execution modes
 //!
-//! Rounds execute in one of two schedules (see [`ExecutionMode`]):
+//! Every round stages its uploads into one [`AggregationTree`] *as they
+//! arrive* (any thread, any order) and closes with a single
+//! collapse-and-install into the tenant store. The fault-delivery layer and
+//! the arrival-shuffle knob only change *when* an upload is staged, never
+//! the route it takes. The schedule (see [`ExecutionMode`]) decides only
+//! where the server-side tail runs:
 //!
-//! * **Barriered** — the reference fork-join schedule: dispatch every
-//!   participant, wait for all of them, aggregate, evaluate, repeat.
-//! * **Pipelined** (default) — the asynchronous schedule: participant
-//!   uploads are staged into the server's sharded aggregator *as they
-//!   arrive* (any thread, any order), and the server-side tail of round
-//!   *k* — evaluation of the freshly aggregated model, plus the simulated
+//! * **Barriered** — the reference schedule: the freshly aggregated model
+//!   is evaluated before the next round dispatches.
+//! * **Pipelined** (default) — the server-side tail of round *k* —
+//!   evaluation of the freshly aggregated model, plus the simulated
 //!   aggregation latency — overlaps round *k+1*'s participant dispatch on
 //!   the same worker pool.
 //!
-//! Both schedules reduce in participant-id order (the aggregator sorts its
-//! shards by participant id before the weighted merges), so they produce
+//! The aggregator reduces in participant-id order (it sorts its shards by
+//! participant id before the weighted merges), so both schedules produce
 //! **bit-identical losses, scores and weights** for every thread count and
 //! every arrival order; only the simulated timeline differs, because the
 //! pipeline hides each non-final round's server tail behind the next
@@ -108,16 +111,19 @@ impl Method {
     }
 }
 
-/// How the driver schedules rounds onto the worker pool.
+/// Whether a round's server tail overlaps the next round's dispatch.
+///
+/// Uploads stage into the round's aggregator as they arrive under either
+/// schedule; only evaluation (and the simulated aggregation latency) moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Strict fork-join rounds: dispatch, barrier, aggregate, evaluate.
+    /// Each round is aggregated and evaluated before the next dispatches.
     /// Kept as the golden reference the pipelined schedule is pinned
     /// against.
     Barriered,
-    /// Asynchronous round pipeline: uploads aggregate incrementally as
-    /// they arrive and each round's server tail overlaps the next round's
-    /// dispatch. Bit-identical results to [`ExecutionMode::Barriered`].
+    /// Each round's evaluation and aggregation latency overlap the next
+    /// round's dispatch. Bit-identical results to
+    /// [`ExecutionMode::Barriered`].
     Pipelined,
 }
 
@@ -436,8 +442,8 @@ struct ParticipantRound {
     /// Utilities measured during this round's local training.
     reported_utilities: Vec<ExpertUtility>,
     /// The wire-form upload, retained when it was not streamed into the
-    /// aggregator on completion (barriered mode, or the arrival-shuffle
-    /// knob).
+    /// aggregator on completion (the arrival-shuffle knob, or the
+    /// fault-delivery layer).
     upload: Option<RoundUpload>,
     /// Bytes a dense upload of this participant's payload occupies.
     upload_bytes_dense: usize,
@@ -763,10 +769,10 @@ impl FederatedRun {
         self
     }
 
-    /// Verification knob: in pipelined mode, defer the incremental upload
-    /// submissions and replay them in a seeded-shuffled participant order
-    /// instead of completion order. Results must not change — the
-    /// golden-trace suite uses this to prove arrival-order invariance
+    /// Verification knob: defer the incremental upload submissions and
+    /// replay them in a seeded-shuffled participant order instead of
+    /// completion order, under either schedule. Results must not change —
+    /// the golden-trace suite uses this to prove arrival-order invariance
     /// deterministically.
     pub fn with_shuffled_arrivals(mut self, seed: u64) -> Self {
         self.arrival_seed = Some(seed);
@@ -1552,8 +1558,8 @@ impl ActiveRun {
     ///
     /// Every participant (and, in pipelined mode, the overlapped evaluation
     /// of the previous round) reads the same store snapshot; no store lock
-    /// is held while they compute. In pipelined mode uploads stream into
-    /// the round's aggregator the moment each participant finishes.
+    /// is held while they compute. Uploads stream into the round's
+    /// aggregator the moment each participant finishes.
     ///
     /// # Panics
     ///
@@ -1615,7 +1621,6 @@ impl ActiveRun {
         let driver = &self.driver;
         let method = self.method;
         let pipelined = driver.mode == ExecutionMode::Pipelined;
-        let faults_active = driver.faults_active();
         // A mid-round restore resumes the staged aggregator recovered from
         // the checkpoint as the tree's root; its already-staged pids reject
         // this fan-out's duplicate re-submissions at whatever edge they
@@ -1625,13 +1630,13 @@ impl ActiveRun {
             .take()
             .unwrap_or_else(|| self.store.begin_round());
         let aggregator = AggregationTree::new(root, driver.config.aggregation_edges);
-        // In pipelined mode uploads stream into the aggregator the moment
-        // each participant finishes — unless the arrival shuffle knob is
-        // on, in which case they are replayed in a seeded order during
-        // finish_round (either way the aggregator's pid-ordered finalize
-        // makes arrival order unobservable), or the delivery layer is
-        // active, which decides per upload what arrives at all.
-        let submit_on_completion = pipelined && driver.arrival_seed.is_none() && !faults_active;
+        // Uploads stream into the aggregator the moment each participant
+        // finishes — unless the arrival shuffle knob is on, in which case
+        // they are replayed in a seeded order during finish_round (either
+        // way the aggregator's pid-ordered finalize makes arrival order
+        // unobservable), or the delivery layer is active, which decides
+        // per upload what arrives at all.
+        let submit_on_completion = driver.arrival_seed.is_none() && !driver.faults_active();
 
         // One materialized snapshot per round: participants and the
         // overlapped evaluation share it through the `Arc`, so aggregation
@@ -1768,10 +1773,10 @@ impl ActiveRun {
     }
 
     /// Closes the computed round: applies utility reports and the
-    /// participant-id-ordered reduction, aggregates into the tenant store
-    /// (per-shard locks only), advances the simulated clock, and records
-    /// the round (immediately when barriered; one round later when
-    /// pipelined, as the evaluation overlaps the next dispatch).
+    /// participant-id-ordered reduction, collapses the round's aggregator
+    /// into the tenant store (per-shard locks only), advances the simulated
+    /// clock, and records the round (immediately when barriered; one round
+    /// later when pipelined, as the evaluation overlaps the next dispatch).
     ///
     /// # Panics
     ///
@@ -1821,8 +1826,6 @@ impl ActiveRun {
         // Ordered reduction: participant-id order, same as the old
         // sequential loop, regardless of completion order.
         let mut reduction = RoundReduction::default();
-        let mut expert_updates: Vec<ExpertUpdate> = Vec::new();
-        let mut head_updates = Vec::new();
         for (slot, (participant, task_out)) in self.fleet.iter().zip(results.iter_mut()).enumerate()
         {
             let result = match task_out {
@@ -1858,53 +1861,18 @@ impl ActiveRun {
             if cost.total_s() > reduction.critical.total_s() {
                 reduction.critical = cost;
             }
-            if !pipelined && !faults_active {
-                if aggregator.num_edges() > 0 {
-                    // Barriered with an aggregation tree: the retained
-                    // uploads route through the edges in pid order (the
-                    // root's pid-ordered finalize makes the routing
-                    // unobservable anyway).
-                    if let Some(upload) = result.upload.take() {
-                        submit_upload(&aggregator, participant.id, upload, &snapshot);
-                    }
-                } else {
-                    // The barriered reference decodes at the same point
-                    // with the same base as the pipelined staging layer, so
-                    // the two schedules stay bit-identical under every
-                    // compression mode.
-                    let (updates, head) = match result.upload.take() {
-                        Some(RoundUpload::Dense(updates, head)) => (updates, head),
-                        Some(RoundUpload::Encoded(encoded)) => encoded
-                            .decode(&snapshot)
-                            .expect("a driver-produced upload decodes against its snapshot"),
-                        None => (Vec::new(), None),
-                    };
-                    expert_updates.extend(updates);
-                    if let Some(head) = head {
-                        head_updates.push(head);
-                    }
-                }
-            }
         }
 
-        if faults_active {
-            // Both schedules reduce what the delivery layer staged: the
-            // root's pid-ordered finalize keeps the result identical under
-            // either mode (and any tree shape) for the same fault draws.
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else if pipelined {
-            if let Some(seed) = self.driver.arrival_seed {
-                // Replay the retained uploads in a seeded-shuffled
-                // participant order: a deterministic stand-in for the
-                // scheduler's arbitrary completion order.
-                submit_shuffled(&aggregator, &self.fleet, results, round, seed, &snapshot);
-            }
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else if aggregator.num_edges() > 0 {
-            self.store.apply_round(aggregator.collapse(), pool);
-        } else {
-            self.store.aggregate(&expert_updates, &head_updates);
+        if let Some(seed) = self.driver.arrival_seed {
+            // Replay the retained uploads in a seeded-shuffled participant
+            // order: a deterministic stand-in for the scheduler's arbitrary
+            // completion order. Under faults the delivery layer has already
+            // taken every upload, so nothing is left to replay.
+            submit_shuffled(&aggregator, &self.fleet, results, round, seed, &snapshot);
         }
+        // Whatever the schedule, tree shape or fault draws, the root's
+        // pid-ordered finalize reduces what was staged to the same bits.
+        self.store.apply_round(aggregator.collapse(), pool);
 
         let critical = reduction.critical;
         // Every round but the last hides the aggregation latency behind
@@ -2148,16 +2116,20 @@ mod tests {
 
     #[test]
     fn shuffled_arrival_orders_do_not_change_results() {
-        let reference = FederatedRun::new(quick_config(), 31).run(Method::Flux);
-        for arrival_seed in [1u64, 2, 3] {
-            let shuffled = FederatedRun::new(quick_config(), 31)
-                .with_shuffled_arrivals(arrival_seed)
-                .run(Method::Flux);
-            assert_eq!(
-                reference.rounds, shuffled.rounds,
-                "arrival seed {arrival_seed} changed the rounds"
-            );
-            assert_eq!(reference.final_model.lm_head, shuffled.final_model.lm_head);
+        for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+            let run = FederatedRun::new(quick_config(), 31).with_mode(mode);
+            let reference = run.run(Method::Flux);
+            for arrival_seed in [1u64, 2, 3] {
+                let shuffled = run
+                    .clone()
+                    .with_shuffled_arrivals(arrival_seed)
+                    .run(Method::Flux);
+                assert_eq!(
+                    reference.rounds, shuffled.rounds,
+                    "{mode:?}: arrival seed {arrival_seed} changed the rounds"
+                );
+                assert_eq!(reference.final_model.lm_head, shuffled.final_model.lm_head);
+            }
         }
     }
 

@@ -481,7 +481,10 @@ pub(crate) fn decode_run_state(mut buf: &[u8]) -> Result<RunState, SnapshotError
     let aggregator = match get_u8(buf)? {
         0 => None,
         1 => {
-            let len = get_count(buf, "aggregator-byte")?;
+            // A byte length, not an element count: `take` bounds it by the
+            // bytes that remain, so a large staged round is not mistaken
+            // for a corrupt one.
+            let len = get_u32(buf)? as usize;
             Some(take(buf, len)?.to_vec())
         }
         other => return Err(corrupt(format!("unknown aggregator tag {other}"))),
@@ -690,6 +693,19 @@ mod tests {
             Ok(_) => panic!("trailing bytes must fail"),
         };
         assert!(err.to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn staged_aggregators_over_a_megabyte_round_trip() {
+        let state = RunState {
+            aggregator: Some(vec![0xA5; 2 * MAX_COUNT as usize]),
+            ..sample_state()
+        };
+        let bytes = encode_run_state(&state);
+        let decoded = decode_run_state(&bytes).expect("a large staged round decodes");
+        assert_states_equal(&state, &decoded);
+        // A length that overruns the blob is still caught.
+        assert!(decode_run_state(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

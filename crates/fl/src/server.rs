@@ -8,20 +8,16 @@
 //! nothing serializes on a model-wide write lock anymore (the scaling wall
 //! this type used to have).
 //!
-//! The original single-run surface (`global_model`, `with_global`,
-//! `begin_round`/`apply_round`, `aggregate`, …) is preserved by delegating
-//! to the **primary tenant** (tenant 0, registered at construction), so
-//! standalone drivers and existing tests are unaffected; the concurrent-run
-//! scheduler registers one tenant per job instead.
+//! The server itself is only the tenant registry: rounds, snapshots and
+//! reads go through the tenant's [`ShardedStore`] handle that
+//! [`ParameterServer::register_tenant`] (or
+//! [`ParameterServer::adopt_tenant`]) returns.
 
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-use flux_moe::{ExpertKey, MoeModel};
-use flux_tensor::Matrix;
-use threadpool::ThreadPool;
+use flux_moe::MoeModel;
 
-use crate::aggregate::{AggregationTree, ExpertUpdate, ShardedAggregator};
 use crate::store::ShardedStore;
 
 /// Default number of expert shards a server partitions each tenant's
@@ -34,17 +30,16 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// Central parameter server of the federated system.
 ///
-/// Holds one [`ShardedStore`] per registered tenant and aggregates expert
-/// updates with FedAvg. Aggregation is *sharded and incremental*:
-/// [`ParameterServer::begin_round`] opens a [`ShardedAggregator`] that
+/// Holds one [`ShardedStore`] per registered tenant. Each store aggregates
+/// expert updates with FedAvg, *sharded and incremental*:
+/// [`ShardedStore::begin_round`] opens a [`crate::ShardedAggregator`] that
 /// participants (or the driver acting for them) feed as their uploads
 /// arrive — from any thread, in any order — and
-/// [`ParameterServer::apply_round`] reduces shard *i* and installs it under
+/// [`ShardedStore::apply_round`] reduces shard *i* and installs it under
 /// the store's shard-*i* lock alone, so the global model is bit-identical
-/// to the barriered one-shot aggregation no matter how updates arrived and
-/// no lock covers the whole model. Interior mutability allows the
-/// participant simulation to run on worker threads while the server stays
-/// shared.
+/// to the one-shot [`ShardedStore::aggregate`] no matter how updates
+/// arrived and no lock covers the whole model. The registry is shared
+/// across threads; tenants never touch each other's locks.
 #[derive(Debug)]
 pub struct ParameterServer {
     num_shards: usize,
@@ -52,23 +47,9 @@ pub struct ParameterServer {
 }
 
 impl ParameterServer {
-    /// Creates a server whose primary tenant holds `global_model`, with
-    /// [`DEFAULT_SHARDS`] shards.
-    pub fn new(global_model: MoeModel) -> Self {
-        Self::with_shards(global_model, DEFAULT_SHARDS)
-    }
-
-    /// Creates a server with an explicit per-tenant shard count
-    /// (minimum 1).
-    pub fn with_shards(global_model: MoeModel, num_shards: usize) -> Self {
-        let server = Self::empty(num_shards);
-        server.register_tenant(global_model);
-        server
-    }
-
-    /// Creates a server with no tenants yet; the concurrent-run scheduler
-    /// registers one per job. The single-tenant convenience API panics
-    /// until the first registration.
+    /// Creates a server with no tenants yet (`num_shards` is clamped to at
+    /// least 1); each run registers one, and the concurrent-run scheduler
+    /// registers one per job.
     pub fn empty(num_shards: usize) -> Self {
         Self {
             num_shards: num_shards.max(1),
@@ -138,107 +119,39 @@ impl ParameterServer {
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
-
-    /// The primary tenant (tenant 0), which the single-run legacy API
-    /// delegates to.
-    fn primary(&self) -> Arc<ShardedStore> {
-        self.tenant(0)
-    }
-
-    /// A full copy of the primary tenant's current global model (what a
-    /// participant downloads at the start of a round).
-    pub fn global_model(&self) -> MoeModel {
-        self.primary().global_model()
-    }
-
-    /// Runs `f` against the primary tenant's current global model without
-    /// cloning it. The model is a materialized snapshot shared through an
-    /// `Arc`; no store lock is held while `f` runs, so concurrent tenants
-    /// (and even this tenant's next aggregation) proceed undisturbed.
-    pub fn with_global<R>(&self, f: impl FnOnce(&MoeModel) -> R) -> R {
-        self.primary().with_global(f)
-    }
-
-    /// Number of aggregation rounds applied to the primary tenant.
-    pub fn rounds_completed(&self) -> usize {
-        self.primary().rounds_completed()
-    }
-
-    /// Opens the incremental aggregator for one round of the primary
-    /// tenant. Participant uploads are staged into it as they arrive;
-    /// [`ParameterServer::apply_round`] closes the round.
-    pub fn begin_round(&self) -> ShardedAggregator {
-        self.primary().begin_round()
-    }
-
-    /// Closes a round of the primary tenant: reduces the staged shards
-    /// (fanning out to `pool`) and installs each shard's aggregated experts
-    /// under that shard's lock. Experts nobody updated keep their previous
-    /// global parameters.
-    pub fn apply_round(&self, aggregator: &ShardedAggregator, pool: &ThreadPool) {
-        self.primary().apply_round(aggregator, pool);
-    }
-
-    /// Opens a *two-level* round of the primary tenant: `num_edges` edge
-    /// aggregators pre-reduce their cohort slice (shard bucketing, payload
-    /// decode/validation, duplicate rejection) before the root reduces into
-    /// the store. `num_edges <= 1` degenerates to the flat
-    /// [`ParameterServer::begin_round`]; any edge count produces a
-    /// bit-identical global model, because edges forward `(pid, update)`
-    /// pairs and the root reduces in pid order either way.
-    pub fn begin_tree_round(&self, num_edges: usize) -> AggregationTree {
-        AggregationTree::new(self.begin_round(), num_edges)
-    }
-
-    /// Closes a two-level round of the primary tenant: collapses the edge
-    /// aggregators into the root and installs the reduced shards exactly
-    /// like [`ParameterServer::apply_round`].
-    pub fn apply_tree_round(&self, tree: &AggregationTree, pool: &ThreadPool) {
-        self.apply_round(tree.collapse(), pool);
-    }
-
-    /// Applies one round of FedAvg aggregation to the primary tenant in a
-    /// single call (the barriered path): the borrowed updates go straight
-    /// through the one-shot kernels, copy-free.
-    ///
-    /// `expert_updates` carries the fine-tuned expert parameters from every
-    /// participant (original/global expert ids) in participant-id order;
-    /// `head_updates` carries the task-head matrices with their weights.
-    /// The incremental sharded path reduces each shard with these same
-    /// kernels in participant-id order, and their equality is pinned by
-    /// `incremental_round_matches_one_shot_aggregate` below plus the
-    /// `sharded_incremental_matches_one_shot_fedavg` property test.
-    pub fn aggregate(&self, expert_updates: &[ExpertUpdate], head_updates: &[(Matrix, f32)]) {
-        self.primary().aggregate(expert_updates, head_updates);
-    }
-
-    /// Convenience: read one expert's current parameters from the primary
-    /// tenant (a single per-shard read lock).
-    pub fn expert(&self, key: ExpertKey) -> flux_moe::Expert {
-        self.primary().expert(key)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flux_moe::MoeConfig;
-    use flux_tensor::SeededRng;
+    use crate::aggregate::{AggregationTree, ExpertUpdate};
+    use flux_moe::{ExpertKey, MoeConfig};
+    use flux_tensor::{Matrix, SeededRng};
+    use threadpool::ThreadPool;
 
-    fn server() -> ParameterServer {
+    fn model() -> MoeModel {
         let mut rng = SeededRng::new(1);
-        ParameterServer::new(MoeModel::new(MoeConfig::tiny(), &mut rng))
+        MoeModel::new(MoeConfig::tiny(), &mut rng)
+    }
+
+    /// A tenant registered on a fresh server with `num_shards` shards.
+    fn tenant_with_shards(num_shards: usize) -> Arc<ShardedStore> {
+        ParameterServer::empty(num_shards).register_tenant(model())
+    }
+
+    fn tenant() -> Arc<ShardedStore> {
+        tenant_with_shards(DEFAULT_SHARDS)
     }
 
     #[test]
     fn aggregate_replaces_updated_experts_only() {
-        let server = server();
-        let before = server.global_model();
+        let store = tenant();
+        let before = store.global_model();
         let key = ExpertKey::new(0, 0);
         let untouched = ExpertKey::new(3, 7);
         let mut rng = SeededRng::new(2);
         let new_expert = flux_moe::Expert::new(16, 32, &mut rng);
-        server.aggregate(
+        store.aggregate(
             &[ExpertUpdate {
                 key,
                 expert: new_expert.clone(),
@@ -246,10 +159,10 @@ mod tests {
             }],
             &[],
         );
-        let after = server.global_model();
+        let after = store.global_model();
         assert_eq!(after.expert(key), &new_expert);
         assert_eq!(after.expert(untouched), before.expert(untouched));
-        assert_eq!(server.rounds_completed(), 1);
+        assert_eq!(store.rounds_completed(), 1);
     }
 
     #[test]
@@ -271,22 +184,22 @@ mod tests {
             })
             .collect();
 
-        let flat_server = server();
-        let flat = flat_server.begin_round();
+        let flat_store = tenant();
+        let flat = flat_store.begin_round();
         for (pid, u) in &uploads {
             assert!(flat.submit(*pid, vec![u.clone()], None));
         }
-        flat_server.apply_round(&flat, &pool);
+        flat_store.apply_round(&flat, &pool);
 
-        let tree_server = server();
-        let tree = tree_server.begin_tree_round(3);
+        let tree_store = tenant();
+        let tree = AggregationTree::new(tree_store.begin_round(), 3);
         for (pid, u) in uploads.iter().rev() {
             assert!(tree.submit(*pid, vec![u.clone()], None));
         }
-        tree_server.apply_tree_round(&tree, &pool);
+        tree_store.apply_round(tree.collapse(), &pool);
 
-        let a = flat_server.global_model();
-        let b = tree_server.global_model();
+        let a = flat_store.global_model();
+        let b = tree_store.global_model();
         for key in a.expert_keys() {
             assert_eq!(a.expert(key), b.expert(key), "{key:?} diverged");
         }
@@ -295,27 +208,28 @@ mod tests {
 
     #[test]
     fn aggregate_updates_head() {
-        let server = server();
-        let shape = server.global_model().lm_head.shape();
+        let store = tenant();
+        let shape = store.global_model().lm_head.shape();
         let new_head = Matrix::filled(shape.0, shape.1, 0.123);
-        server.aggregate(&[], &[(new_head.clone(), 2.0)]);
-        assert_eq!(server.global_model().lm_head, new_head);
+        store.aggregate(&[], &[(new_head.clone(), 2.0)]);
+        assert_eq!(store.global_model().lm_head, new_head);
     }
 
     #[test]
     fn mismatched_head_is_ignored() {
-        let server = server();
-        let before = server.global_model().lm_head.clone();
-        server.aggregate(&[], &[(Matrix::filled(2, 2, 9.0), 1.0)]);
-        assert_eq!(server.global_model().lm_head, before);
+        let store = tenant();
+        let before = store.global_model().lm_head.clone();
+        store.aggregate(&[], &[(Matrix::filled(2, 2, 9.0), 1.0)]);
+        assert_eq!(store.global_model().lm_head, before);
     }
 
     #[test]
     fn out_of_range_expert_update_is_ignored() {
-        let server = server();
+        let store = tenant();
+        let checksum = store.snapshot().param_checksum();
         let mut rng = SeededRng::new(3);
         let rogue = flux_moe::Expert::new(16, 32, &mut rng);
-        server.aggregate(
+        store.aggregate(
             &[ExpertUpdate {
                 key: ExpertKey::new(99, 99),
                 expert: rogue,
@@ -323,35 +237,30 @@ mod tests {
             }],
             &[],
         );
-        assert_eq!(server.rounds_completed(), 1);
-    }
-
-    #[test]
-    fn expert_accessor_matches_model() {
-        let server = server();
-        let key = ExpertKey::new(1, 2);
-        assert_eq!(&server.expert(key), server.global_model().expert(key));
+        assert_eq!(store.rounds_completed(), 1);
+        assert_eq!(store.snapshot().param_checksum(), checksum);
     }
 
     #[test]
     fn with_global_avoids_clone_and_matches_model() {
-        let server = server();
-        let shape = server.with_global(|m| m.lm_head.shape());
-        assert_eq!(shape, server.global_model().lm_head.shape());
+        let store = tenant();
+        let shape = store.with_global(|m| m.lm_head.shape());
+        assert_eq!(shape, store.global_model().lm_head.shape());
     }
 
     #[test]
     fn incremental_round_matches_one_shot_aggregate() {
-        // The same uploads through (a) the legacy one-shot `aggregate`
-        // and (b) begin_round/submit-in-reverse-order/apply_round must
-        // produce bit-identical global models.
+        // The same uploads through (a) the one-shot `aggregate` and
+        // (b) begin_round/submit-in-reverse-order/apply_round on a
+        // differently sharded tenant must produce bit-identical global
+        // models.
         let mut rng = SeededRng::new(9);
-        let a = server();
-        let b = ParameterServer::with_shards(a.global_model(), 3);
+        let a = tenant();
+        let b = tenant_with_shards(3);
+        let head_shape = a.global_model().lm_head.shape();
         let uploads: Vec<(usize, ExpertUpdate, Matrix, f32)> = (0..4)
             .map(|pid| {
                 let e = flux_moe::Expert::new(16, 32, &mut rng);
-                let head_shape = a.global_model().lm_head.shape();
                 let head = Matrix::filled(head_shape.0, head_shape.1, pid as f32 * 0.1);
                 (
                     pid,
@@ -388,14 +297,15 @@ mod tests {
 
     #[test]
     fn server_is_shareable_across_threads() {
-        let server = std::sync::Arc::new(server());
+        let server = Arc::new(ParameterServer::empty(DEFAULT_SHARDS));
+        let store = server.register_tenant(model());
         let mut handles = Vec::new();
         for t in 0..4 {
-            let s = server.clone();
+            let s = Arc::clone(&server);
             handles.push(std::thread::spawn(move || {
                 let mut rng = SeededRng::new(t);
                 let e = flux_moe::Expert::new(16, 32, &mut rng);
-                s.aggregate(
+                s.tenant(0).aggregate(
                     &[ExpertUpdate {
                         key: ExpertKey::new(0, t as usize),
                         expert: e,
@@ -408,7 +318,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(server.rounds_completed(), 4);
+        assert_eq!(store.rounds_completed(), 4);
     }
 
     #[test]
@@ -436,8 +346,6 @@ mod tests {
         assert_eq!(b.snapshot().param_checksum(), b_before);
         assert_eq!(a.rounds_completed(), 1);
         assert_eq!(b.rounds_completed(), 0);
-        // The server-level legacy API is tenant 0.
-        assert_eq!(server.rounds_completed(), 1);
     }
 
     #[test]

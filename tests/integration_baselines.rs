@@ -4,7 +4,7 @@
 use flux_core::baselines::{fmd_local_round, fmes_local_round, fmq_local_round};
 use flux_core::profiling::QuantizedModelCache;
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
-use flux_fl::{build_fleet, CostModel, ParameterServer, Participant};
+use flux_fl::{build_fleet, CostModel, ParameterServer, Participant, DEFAULT_SHARDS};
 use flux_moe::{MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 
@@ -25,8 +25,8 @@ fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
 #[test]
 fn fmd_aggregation_changes_the_global_model() {
     let (model, fleet, cost) = setup();
-    let server = ParameterServer::new(model.clone());
-    let global = server.global_model();
+    let store = ParameterServer::empty(DEFAULT_SHARDS).register_tenant(model.clone());
+    let global = store.global_model();
     let mut all_updates = Vec::new();
     let mut heads = Vec::new();
     for p in &fleet {
@@ -36,15 +36,15 @@ fn fmd_aggregation_changes_the_global_model() {
             heads.push(h);
         }
     }
-    server.aggregate(&all_updates, &heads);
-    let updated = server.global_model();
+    store.aggregate(&all_updates, &heads);
+    let updated = store.global_model();
     // At least one expert changed after aggregation.
     let changed = model
         .expert_keys()
         .iter()
         .any(|&k| updated.expert(k) != model.expert(k));
     assert!(changed, "aggregation should modify the global model");
-    assert_eq!(server.rounds_completed(), 1);
+    assert_eq!(store.rounds_completed(), 1);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the middle of a round, after its fan-out but before its reduction —
 //! and restored from its durable checkpoint replays to per-round losses,
 //! per-round scores and final global weights **bit-identical** to the
-//! uninterrupted run, under the pipelined schedule and every
+//! uninterrupted run, under either schedule and every
 //! `FLUX_THREADS` setting (CI re-runs this suite at 1/4/8). Nothing the
 //! checkpoint does not persist may influence the result: dataset, fleet
 //! and RNG chain are rebuilt deterministically from the seed.
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use threadpool::ThreadPool;
 
-use flux_core::driver::{FederatedRun, Method, RunConfig, RunPhase, RunResult};
+use flux_core::driver::{ExecutionMode, FederatedRun, Method, RunConfig, RunPhase, RunResult};
 use flux_core::scheduler::{JobSpec, SchedulePolicy, Scheduler};
 use flux_data::DatasetKind;
 use flux_fl::snapshot::{corrupt_file_byte, shard_file};
@@ -104,15 +104,32 @@ fn kill_at_round_boundary_replays_bit_identically() {
 
 #[test]
 fn kill_mid_round_replays_bit_identically() {
-    let run = FederatedRun::new(quick(), 22);
-    let reference = trace_of(&run.run(Method::Flux));
-    for kill_round in [0, 1] {
-        let recovered = run_with_kill(&run, Method::Flux, kill_round, true);
-        assert_eq!(
-            recovered, reference,
-            "kill inside round {kill_round} must replay bit-identically"
-        );
+    for mode in [ExecutionMode::Pipelined, ExecutionMode::Barriered] {
+        let run = FederatedRun::new(quick(), 22).with_mode(mode);
+        let reference = trace_of(&run.run(Method::Flux));
+        for kill_round in [0, 1] {
+            let recovered = run_with_kill(&run, Method::Flux, kill_round, true);
+            assert_eq!(
+                recovered, reference,
+                "{mode:?}: kill inside round {kill_round} must replay bit-identically"
+            );
+        }
     }
+}
+
+#[test]
+fn kill_mid_round_with_over_a_megabyte_staged_replays_bit_identically() {
+    // 32 sampled FMD clients each stage every expert, so the mid-round
+    // checkpoint carries a staged aggregator of several megabytes.
+    let mut config = quick().with_participants(64).with_cohort(32);
+    config.num_samples = 2000;
+    let run = FederatedRun::new(config, 5);
+    let reference = trace_of(&run.run(Method::Fmd));
+    let recovered = run_with_kill(&run, Method::Fmd, 1, true);
+    assert_eq!(
+        recovered, reference,
+        "a large staged round must restore and replay bit-identically"
+    );
 }
 
 #[test]
