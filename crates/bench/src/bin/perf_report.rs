@@ -40,8 +40,8 @@
 //! * `FLUX_PERF_MIN_KERNEL_SPEEDUP` — minimum GEMM speedup the best SIMD
 //!   level must show over the scalar reference kernel at every measured
 //!   training shape (unset: no gate). Skipped with a note on hosts
-//!   without AVX2, where the dispatched SSE2 kernel is deliberately
-//!   bit-identical to scalar rather than faster.
+//!   without AVX2, where the scalar reference is the only kernel set and
+//!   there is nothing to be faster than.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -391,7 +391,7 @@ fn measure_kernels(reps: usize) -> KernelReport {
     // Fused block-diagonal batched attention vs the per-sample loop, at the
     // quick-demo width over a ragged 16-sample batch. Both sides run under
     // the default (best) dispatch level and compute the received-attention
-    // statistics the profiling path needs, with every intermediate recycled.
+    // statistics the profiling path needs.
     let attn = Attention::new(16, &mut rng);
     let lens = [9usize, 5, 12, 7, 9, 3, 11, 8, 6, 10, 9, 4, 13, 7, 8, 9];
     let samples: Vec<Matrix> = lens
@@ -413,9 +413,9 @@ fn measure_kernels(reps: usize) -> KernelReport {
         let start = Instant::now();
         for _ in 0..ATTN_ITERS {
             for s in &samples {
-                let (out, received) = attn.forward_no_cache(s);
+                let (out, cache) = attn.forward(s);
                 out.recycle();
-                std::hint::black_box(received);
+                std::hint::black_box(cache.received_attention());
             }
         }
         per_sample_s = per_sample_s.min(start.elapsed().as_secs_f64());
@@ -695,9 +695,8 @@ fn main() {
 
     // Kernel gate: armed only when FLUX_PERF_MIN_KERNEL_SPEEDUP is set.
     // Every measured GEMM training shape must clear the threshold under the
-    // best SIMD level. On hosts without AVX2 the dispatched SSE2 kernel is
-    // deliberately bit-identical to the scalar reference (no FMA, same
-    // association), so no speedup is promised there — the scenario is
+    // best SIMD level. On hosts without AVX2 the best level is the scalar
+    // reference itself, so no speedup is promised there — the scenario is
     // recorded but the gate is skipped with a note.
     if let Some(min_kernel) = std::env::var("FLUX_PERF_MIN_KERNEL_SPEEDUP")
         .ok()

@@ -143,6 +143,7 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<MoeModel, CheckpointError> {
             experts.push(Expert { w1, b1, w2, b2 });
         }
         let table_len = get_u32(&mut buf)? as usize;
+        ensure_remaining(buf, table_len, 4)?;
         let mut table = Vec::with_capacity(table_len);
         for _ in 0..table_len {
             table.push(get_u32(&mut buf)? as usize);
@@ -231,6 +232,7 @@ fn get_config(buf: &mut &[u8]) -> Result<MoeConfig, CheckpointError> {
     let d_ff = get_u32(buf)? as usize;
     let num_layers = get_u32(buf)? as usize;
     let epl_len = get_u32(buf)? as usize;
+    ensure_remaining(buf, epl_len, 4)?;
     let mut experts_per_layer = Vec::with_capacity(epl_len);
     for _ in 0..epl_len {
         experts_per_layer.push(get_u32(buf)? as usize);
@@ -283,6 +285,7 @@ pub fn get_matrix(buf: &mut &[u8]) -> Result<Matrix, CheckpointError> {
             "implausible matrix shape {rows}x{cols}"
         )));
     }
+    ensure_remaining(buf, rows * cols, 4)?;
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows * cols {
         data.push(get_f32(buf)?);
@@ -310,6 +313,7 @@ pub fn get_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CheckpointError> {
     if len > 64_000_000 {
         return Err(CheckpointError::Corrupt("implausible vector length".into()));
     }
+    ensure_remaining(buf, len, 4)?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(get_f32(buf)?);
@@ -350,6 +354,19 @@ pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointErro
     let (head, rest) = buf.split_at(n);
     *buf = rest;
     Ok(head)
+}
+
+/// Checks that `count` elements of `size` bytes each remain in `buf`, so a
+/// corrupt length prefix is rejected before its elements are reserved.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Truncated`] when fewer bytes remain.
+fn ensure_remaining(buf: &[u8], count: usize, size: usize) -> Result<(), CheckpointError> {
+    match count.checked_mul(size) {
+        Some(bytes) if bytes <= buf.len() => Ok(()),
+        _ => Err(CheckpointError::Truncated),
+    }
 }
 
 /// Reads one byte.
@@ -479,6 +496,15 @@ mod tests {
         let m = model(3);
         let bytes = to_bytes(&m);
         let err = from_bytes(&bytes[..bytes.len() / 2]).unwrap_err();
+        assert!(matches!(err, CheckpointError::Truncated));
+        // A 32-byte header whose experts-per-layer count claims u32::MAX
+        // entries must fail as truncated before reserving them.
+        let mut header = MAGIC.to_vec();
+        for field in [0u32, 64, 16, 32, 4, u32::MAX] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(header.len(), 32);
+        let err = from_bytes(&header).unwrap_err();
         assert!(matches!(err, CheckpointError::Truncated));
     }
 

@@ -69,6 +69,18 @@ pub struct ExpertBatch {
     pub cache: ExpertCache,
 }
 
+/// Where a tracked (profiling) forward records its routing events.
+pub struct RoutingTrace<'a> {
+    /// Tracker receiving the events.
+    pub tracker: &'a mut ActivationTracker,
+    /// Layer index the events are recorded under.
+    pub layer: usize,
+    /// Sample id of each input row.
+    pub row_samples: &'a [usize],
+    /// Average attention each input row received.
+    pub received_attention: &'a [f32],
+}
+
 impl MoeLayer {
     /// Creates a pristine MoE layer with `num_experts` experts.
     pub fn new(
@@ -108,20 +120,11 @@ impl MoeLayer {
         self.experts.first().map(|e| e.d_ff()).unwrap_or(0)
     }
 
-    /// Forward pass over `(seq, d_model)` hidden states.
-    ///
-    /// `received_attention` carries the per-token attention scores from the
-    /// attention sub-layer (used only for tracking). When a tracker is
-    /// given, routing events are recorded against it under `layer_idx`.
-    pub fn forward(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-    ) -> (Matrix, MoeLayerCache) {
+    /// Forward pass over `(seq, d_model)` hidden states, keeping the expert
+    /// caches the backward pass needs.
+    pub fn forward(&self, hidden: &Matrix) -> (Matrix, MoeLayerCache) {
         let seq = hidden.rows();
-        let groups = self.route_and_group(hidden, layer_idx, received_attention, tracker, None);
+        let groups = self.route_and_group(hidden, None);
         // Run each used expert on its token batch — fanned out to worker
         // threads when the routed work warrants it — then scatter results
         // sequentially in ascending expert order.
@@ -185,9 +188,8 @@ impl MoeLayer {
     /// into a compact-indexed slot table rather than a tree map, removing
     /// the per-token-per-expert map lookups.
     ///
-    /// `row_samples`, when given, maps each packed row to its sample id so
-    /// a tracker attributes routed tokens correctly inside a multi-sample
-    /// batch (the batched profiling path).
+    /// `trace`, when given, receives every routing event, attributed to
+    /// each row's sample (the batched profiling path).
     ///
     /// Returns `(compact_expert, token_rows, routing_weights)` triples in
     /// ascending compact-expert order — the fixed iteration (and float
@@ -196,10 +198,7 @@ impl MoeLayer {
     fn route_and_group(
         &self,
         hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        mut tracker: Option<&mut ActivationTracker>,
-        row_samples: Option<&[usize]>,
+        mut trace: Option<RoutingTrace<'_>>,
     ) -> Vec<(usize, Vec<usize>, Vec<f32>)> {
         let num_experts = self.gate.num_experts();
         let k = self.gate.top_k.min(num_experts);
@@ -241,11 +240,9 @@ impl MoeLayer {
                 top.push(best.expect("k <= num_experts"));
             }
             let mass: f32 = top.iter().map(|&i| probs[i]).sum();
-            if let Some(t) = tracker.as_deref_mut() {
-                if let Some(rows) = row_samples {
-                    t.begin_sample(rows[row]);
-                }
-                t.record_layer_token(layer_idx);
+            if let Some(t) = trace.as_mut() {
+                t.tracker.begin_sample(t.row_samples[row]);
+                t.tracker.record_layer_token(t.layer);
             }
             for &original in &top {
                 let weight = if mass > 0.0 {
@@ -257,9 +254,9 @@ impl MoeLayer {
                 let entry = &mut slots[compact];
                 entry.0.push(row);
                 entry.1.push(weight);
-                if let Some(t) = tracker.as_deref_mut() {
-                    let att = received_attention.get(row).copied().unwrap_or(0.0);
-                    t.record(layer_idx, original, att);
+                if let Some(t) = trace.as_mut() {
+                    t.tracker
+                        .record(t.layer, original, t.received_attention[row]);
                 }
             }
         }
@@ -272,33 +269,14 @@ impl MoeLayer {
             .collect()
     }
 
-    /// Forward pass that keeps no backward cache (inference, profiling and
-    /// loss-probe paths). Routing, tracking and output are identical to
+    /// Forward pass that keeps no backward cache (evaluation, profiling and
+    /// loss-probe paths). Routing and output are identical to
     /// [`MoeLayer::forward`]; the expert activations are simply not
     /// retained, which removes the cache clones from every loss-only call.
-    pub fn forward_no_cache(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        self.forward_no_cache_attributed(hidden, layer_idx, received_attention, tracker, None)
-    }
-
-    /// [`MoeLayer::forward_no_cache`] with an explicit row→sample map so a
-    /// tracker attributes tokens of a packed multi-sample batch correctly.
-    pub fn forward_no_cache_attributed(
-        &self,
-        hidden: &Matrix,
-        layer_idx: usize,
-        received_attention: &[f32],
-        tracker: Option<&mut ActivationTracker>,
-        row_samples: Option<&[usize]>,
-    ) -> Matrix {
+    /// A `trace` records the routing events of a profiling pass.
+    pub fn forward_no_cache(&self, hidden: &Matrix, trace: Option<RoutingTrace<'_>>) -> Matrix {
         let seq = hidden.rows();
-        let groups =
-            self.route_and_group(hidden, layer_idx, received_attention, tracker, row_samples);
+        let groups = self.route_and_group(hidden, trace);
         let routed_rows: usize = groups.iter().map(|(_, rows, _)| rows.len()).sum();
         let pool = expert_pool(routed_rows, self.d_model(), self.d_ff(), groups.len());
         let tasks: Vec<_> = groups
@@ -414,17 +392,13 @@ pub struct TransformerLayerCache {
     attn_cache: AttentionCache,
     post_attention: Matrix,
     moe_cache: MoeLayerCache,
-    /// Per-token attention received, exposed for importance tracking.
-    pub received_attention: Vec<f32>,
 }
 
 /// Forward cache of one transformer block over a packed multi-sample batch.
 ///
 /// Identical to [`TransformerLayerCache`] except that the attention cache
-/// holds per-sample score blocks and no received-attention vector is kept
-/// (that signal only feeds activation trackers, which the batched training
-/// path never carries); the MoE cache is row-generic and is shared between
-/// both paths.
+/// holds per-sample score blocks; the MoE cache is row-generic and is shared
+/// between both paths.
 #[derive(Debug, Clone)]
 pub struct TransformerLayerBatchCache {
     input: Matrix,
@@ -448,21 +422,16 @@ impl TransformerLayer {
         }
     }
 
-    /// Forward pass over `(seq, d_model)` hidden states.
-    pub fn forward(
-        &self,
-        input: &Matrix,
-        layer_idx: usize,
-        tracker: Option<&mut ActivationTracker>,
-    ) -> (Matrix, TransformerLayerCache) {
+    /// Forward pass over `(seq, d_model)` hidden states (the per-sample
+    /// training oracle the batched path is tested against).
+    pub fn forward(&self, input: &Matrix) -> (Matrix, TransformerLayerCache) {
         let attn_in = ops::layer_norm(input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward(&attn_in);
         attn_in.recycle();
-        let received = attn_cache.received_attention();
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &received, tracker);
+        let (moe_out, moe_cache) = self.moe.forward(&moe_in);
         moe_in.recycle();
         let output = post_attention.add(&moe_out).expect("residual shapes match");
         moe_out.recycle();
@@ -473,34 +442,8 @@ impl TransformerLayer {
                 attn_cache,
                 post_attention,
                 moe_cache,
-                received_attention: received,
             },
         )
-    }
-
-    /// Forward pass that keeps no backward cache (see
-    /// [`MoeLayer::forward_no_cache`]). Numerically identical to
-    /// [`TransformerLayer::forward`].
-    pub fn forward_no_cache(
-        &self,
-        input: &Matrix,
-        layer_idx: usize,
-        tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        let attn_in = ops::layer_norm(input, LN_EPS);
-        let (attn_out, received) = self.attention.forward_no_cache(&attn_in);
-        attn_in.recycle();
-        let post_attention = input.add(&attn_out).expect("residual shapes match");
-        attn_out.recycle();
-        let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let moe_out = self
-            .moe
-            .forward_no_cache(&moe_in, layer_idx, &received, tracker);
-        moe_in.recycle();
-        let output = post_attention.add(&moe_out).expect("residual shapes match");
-        moe_out.recycle();
-        post_attention.recycle();
-        output
     }
 
     /// Batched forward pass over a packed `(total_tokens, d_model)` batch.
@@ -509,9 +452,8 @@ impl TransformerLayer {
     /// over the whole packed batch (each routed expert sees one wide batch
     /// of rows drawn from every sample); only the attention scores are
     /// computed per sample via [`Attention::forward_batch`]. The training
-    /// path keeps no tracker, so none is taken here and the per-token
-    /// received attention is not extracted (it is a tracker-only signal) —
-    /// profiling stays on the tracked batched no-cache path.
+    /// path keeps no tracker; profiling runs on
+    /// [`TransformerLayer::forward_no_cache_batch`].
     ///
     /// `input` is taken by value and moved into the returned cache (the
     /// backward pass needs it for the layer-norm backward); callers chain
@@ -521,7 +463,6 @@ impl TransformerLayer {
         &self,
         input: Matrix,
         bounds: &[(usize, usize)],
-        layer_idx: usize,
     ) -> (Matrix, TransformerLayerBatchCache) {
         let attn_in = ops::layer_norm(&input, LN_EPS);
         let (attn_out, attn_cache) = self.attention.forward_batch(&attn_in, bounds);
@@ -529,7 +470,7 @@ impl TransformerLayer {
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let (moe_out, moe_cache) = self.moe.forward(&moe_in, layer_idx, &[], None);
+        let (moe_out, moe_cache) = self.moe.forward(&moe_in);
         moe_in.recycle();
         let output = post_attention.add(&moe_out).expect("residual shapes match");
         moe_out.recycle();
@@ -548,8 +489,9 @@ impl TransformerLayer {
     /// path of SPSA estimation, batched evaluation and batched profiling).
     ///
     /// `tracking` carries the activation tracker plus the row→sample map of
-    /// the packed batch; the per-token received attention is only computed
-    /// when a tracker wants it.
+    /// the packed batch; events are recorded under `layer_idx`, and the
+    /// per-token received attention is only computed when a tracker wants
+    /// it.
     pub fn forward_no_cache_batch(
         &self,
         input: &Matrix,
@@ -569,16 +511,13 @@ impl TransformerLayer {
         let post_attention = input.add(&attn_out).expect("residual shapes match");
         attn_out.recycle();
         let moe_in = ops::layer_norm(&post_attention, LN_EPS);
-        let moe_out = match tracking {
-            Some((tracker, row_samples)) => self.moe.forward_no_cache_attributed(
-                &moe_in,
-                layer_idx,
-                &received,
-                Some(tracker),
-                Some(row_samples),
-            ),
-            None => self.moe.forward_no_cache(&moe_in, layer_idx, &[], None),
-        };
+        let trace = tracking.map(|(tracker, row_samples)| RoutingTrace {
+            tracker,
+            layer: layer_idx,
+            row_samples,
+            received_attention: &received,
+        });
+        let moe_out = self.moe.forward_no_cache(&moe_in, trace);
         moe_in.recycle();
         let output = post_attention.add(&moe_out).expect("residual shapes match");
         moe_out.recycle();
@@ -670,10 +609,20 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let hidden = Matrix::random_normal(6, 8, 1.0, &mut rng);
         let mut tracker = ActivationTracker::new(vec![4]);
-        tracker.begin_sample(0);
-        let received = vec![0.1; 6];
-        let (out, cache) = l.forward(&hidden, 0, &received, Some(&mut tracker));
+        let out = l.forward_no_cache(
+            &hidden,
+            Some(RoutingTrace {
+                tracker: &mut tracker,
+                layer: 0,
+                row_samples: &[0; 6],
+                received_attention: &[0.1; 6],
+            }),
+        );
         assert_eq!(out.shape(), (6, 8));
+        // The tracked no-cache forward routes and mixes exactly like the
+        // cached one.
+        let (cached, cache) = l.forward(&hidden);
+        assert_eq!(out, cached);
         // Every token contributed top_k routed rows across the expert batches.
         let routed_rows: usize = cache
             .expert_batches
@@ -692,7 +641,7 @@ mod tests {
         let l = layer(3);
         let mut rng = SeededRng::new(4);
         let hidden = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 5], None);
+        let (_, cache) = l.forward(&hidden);
         let grad_out = Matrix::filled(5, 8, 1.0);
         let (grads, grad_in) = l.backward(&cache, &grad_out, None);
         assert_eq!(grad_in.shape(), (5, 8));
@@ -709,7 +658,7 @@ mod tests {
         let l = layer(5);
         let mut rng = SeededRng::new(6);
         let hidden = Matrix::random_normal(8, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 8], None);
+        let (_, cache) = l.forward(&hidden);
         let grad_out = Matrix::filled(8, 8, 1.0);
         let (all, _) = l.backward(&cache, &grad_out, None);
         let only_zero = [0usize];
@@ -724,11 +673,11 @@ mod tests {
         let mut rng = SeededRng::new(7);
         let mut l = MoeLayer::new(6, 12, 3, 1, &mut rng);
         let hidden = Matrix::random_normal(4, 6, 1.0, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 4], None);
+        let (_, cache) = l.forward(&hidden);
         let grad_out = Matrix::filled(4, 6, 1.0);
         let (grads, _) = l.backward(&cache, &grad_out, None);
         let (&expert_id, grad) = grads.iter().next().unwrap();
-        let loss = |l: &MoeLayer| l.forward(&hidden, 0, &[0.0; 4], None).0.sum();
+        let loss = |l: &MoeLayer| l.forward(&hidden).0.sum();
         let eps = 1e-2;
         let base_w = l.experts[expert_id].w2.get(0, 0);
         l.experts[expert_id].w2.set(0, 0, base_w + eps);
@@ -757,7 +706,7 @@ mod tests {
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 1]);
         let mut rng = SeededRng::new(21);
         let hidden = Matrix::random_normal(12, 8, 1.5, &mut rng);
-        let (_, cache) = l.forward(&hidden, 0, &[0.0; 12], None);
+        let (_, cache) = l.forward(&hidden);
         // Rebuild the expected per-expert groups from the reference path.
         let mut expected: std::collections::BTreeMap<usize, (Vec<usize>, Vec<f32>)> =
             std::collections::BTreeMap::new();
@@ -792,7 +741,7 @@ mod tests {
         l.routing_map = RoutingMap::from_table(vec![0, 1, 2, 2]);
         let mut rng = SeededRng::new(9);
         let hidden = Matrix::random_normal(10, 8, 1.0, &mut rng);
-        let (out, cache) = l.forward(&hidden, 0, &[0.0; 10], None);
+        let (out, cache) = l.forward(&hidden);
         assert_eq!(out.shape(), (10, 8));
         // No batch may reference a compact expert >= 3.
         assert!(cache.expert_batches.keys().all(|&c| c < 3));
@@ -803,9 +752,8 @@ mod tests {
         let mut rng = SeededRng::new(10);
         let block = TransformerLayer::new(8, 16, 4, 2, &mut rng);
         let x = Matrix::random_normal(5, 8, 1.0, &mut rng);
-        let (y, cache) = block.forward(&x, 0, None);
+        let (y, cache) = block.forward(&x);
         assert_eq!(y.shape(), (5, 8));
-        assert_eq!(cache.received_attention.len(), 5);
         let (grads, grad_in) = block.backward(&cache, &Matrix::filled(5, 8, 1.0), None);
         assert_eq!(grad_in.shape(), (5, 8));
         assert!(!grads.is_empty());
@@ -817,7 +765,7 @@ mod tests {
         let mut rng = SeededRng::new(11);
         let block = TransformerLayer::new(8, 16, 4, 2, &mut rng);
         let x = Matrix::random_normal(4, 8, 1.0, &mut rng);
-        let (_, cache) = block.forward(&x, 0, None);
+        let (_, cache) = block.forward(&x);
         let (_, grad_in) = block.backward(&cache, &Matrix::filled(4, 8, 1.0), None);
         assert!(grad_in.frobenius_norm() > 0.0);
     }

@@ -90,7 +90,7 @@ pub struct EvalResult {
 
 /// A model prediction for a single sample.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Prediction {
+enum Prediction {
     /// Generated continuation token ids (generation datasets).
     Tokens(Vec<u32>),
     /// Predicted class (classification datasets).
@@ -344,16 +344,14 @@ impl MoeModel {
         (out, batch)
     }
 
-    /// Runs the transformer stack over a token sequence.
-    pub fn forward(
-        &self,
-        tokens: &[u32],
-        mut tracker: Option<&mut ActivationTracker>,
-    ) -> ForwardCache {
+    /// Runs the transformer stack over one token sequence, keeping every
+    /// layer's backward state (the per-sample training oracle behind
+    /// [`MoeModel::sample_gradients`]).
+    pub fn forward(&self, tokens: &[u32]) -> ForwardCache {
         let mut hidden = self.embed(tokens);
         let mut layer_caches = Vec::with_capacity(self.layers.len());
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let (next, cache) = layer.forward(&hidden, idx, tracker.as_deref_mut());
+        for layer in &self.layers {
+            let (next, cache) = layer.forward(&hidden);
             layer_caches.push(cache);
             hidden = next;
         }
@@ -365,27 +363,6 @@ impl MoeModel {
         }
     }
 
-    /// Forward pass that keeps no backward state: only the final hidden
-    /// states (after the last layer norm) are produced. Numerically
-    /// identical to [`MoeModel::forward`], but every per-layer cache clone
-    /// is skipped — this is the path for evaluation, activation profiling
-    /// and SPSA loss probes.
-    pub fn forward_no_cache(
-        &self,
-        tokens: &[u32],
-        mut tracker: Option<&mut ActivationTracker>,
-    ) -> Matrix {
-        let mut hidden = self.embed(tokens);
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let next = layer.forward_no_cache(&hidden, idx, tracker.as_deref_mut());
-            hidden.recycle();
-            hidden = next;
-        }
-        let final_hidden = ops::layer_norm(&hidden, LN_EPS);
-        hidden.recycle();
-        final_hidden
-    }
-
     /// Runs the transformer stack over a packed mini-batch (see
     /// [`MoeModel::embed_batch`]). Per-token hidden states are bit-identical
     /// to running [`MoeModel::forward`] on each sample alone; the speedup
@@ -395,8 +372,8 @@ impl MoeModel {
     pub fn forward_batch(&self, samples: &[&Sample]) -> BatchForwardCache {
         let (mut hidden, batch) = self.embed_batch(samples);
         let mut layer_caches = Vec::with_capacity(self.layers.len());
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let (next, cache) = layer.forward_batch(hidden, batch.bounds(), idx);
+        for layer in &self.layers {
+            let (next, cache) = layer.forward_batch(hidden, batch.bounds());
             layer_caches.push(cache);
             hidden = next;
         }
@@ -409,10 +386,11 @@ impl MoeModel {
         }
     }
 
-    /// Packed batched forward keeping no backward state — the batched
-    /// analogue of [`MoeModel::forward_no_cache`], used by loss probes and
-    /// evaluation. Returns the packed final hidden states and the batch
-    /// layout.
+    /// Packed batched forward keeping no backward state: the one loss-only
+    /// forward, used by loss probes, evaluation and final embeddings. Per
+    /// token it is bit-identical to [`MoeModel::forward`], with every
+    /// per-layer cache clone skipped. Returns the packed final hidden states
+    /// (after the last layer norm) and the batch layout.
     pub fn forward_no_cache_batch(&self, samples: &[&Sample]) -> (Matrix, PackedBatch) {
         let (mut hidden, batch) = self.embed_batch(samples);
         for (idx, layer) in self.layers.iter().enumerate() {
@@ -423,17 +401,6 @@ impl MoeModel {
         let final_hidden = ops::layer_norm(&hidden, LN_EPS);
         hidden.recycle();
         (final_hidden, batch)
-    }
-
-    /// Wraps a loss-only forward result in a [`ForwardCache`] whose
-    /// backward-only fields are empty (the loss/prediction paths read only
-    /// `final_hidden`).
-    fn light_cache(final_hidden: Matrix) -> ForwardCache {
-        ForwardCache {
-            layer_caches: Vec::new(),
-            final_hidden,
-            last_block_output: Matrix::zeros(0, 0),
-        }
     }
 
     /// Computes the loss and the gradient of the head logits for a sample.
@@ -507,7 +474,7 @@ impl MoeModel {
         sample: &Sample,
         tuning: Option<&HashSet<ExpertKey>>,
     ) -> GradientSet {
-        let cache = self.forward(&sample.tokens, None);
+        let cache = self.forward(&sample.tokens);
         let (loss, grad_final_hidden, head_grad) = self.loss_and_head_grads(sample, &cache);
         // Final layer norm backward.
         let mut grad =
@@ -820,22 +787,15 @@ impl MoeModel {
         }
     }
 
-    /// Predicts the output for one sample (greedy decoding for generation,
-    /// argmax for classification).
-    pub fn predict(&self, sample: &Sample) -> Prediction {
-        let cache = Self::light_cache(self.forward_no_cache(&sample.tokens, None));
-        self.predict_from_cache(sample, &cache)
-    }
-
-    /// Prediction from an existing forward cache (lets evaluation reuse the
-    /// forward pass it already ran for the loss).
-    fn predict_from_cache(&self, sample: &Sample, cache: &ForwardCache) -> Prediction {
+    /// Predicts one sample's output from its final hidden states (greedy
+    /// decoding for generation, argmax for classification).
+    fn predict_from_hidden(&self, sample: &Sample, final_hidden: &Matrix) -> Prediction {
         match &sample.task {
             Task::Generation { reference } => {
-                let seq = cache.final_hidden.rows();
+                let seq = final_hidden.rows();
                 let r = reference.len().min(seq);
                 let rows: Vec<usize> = (seq - r..seq).collect();
-                let logits = cache.final_hidden.select_rows(&rows).matmul(&self.lm_head);
+                let logits = final_hidden.select_rows(&rows).matmul(&self.lm_head);
                 let tokens = (0..logits.rows())
                     .map(|i| flux_tensor::stats::argmax(logits.row(i)).unwrap_or(0) as u32)
                     .collect();
@@ -846,13 +806,8 @@ impl MoeModel {
                     .cls_head
                     .as_ref()
                     .expect("classification sample requires a classification head");
-                let seq = cache.final_hidden.rows() as f32;
-                let pooled: Vec<f32> = cache
-                    .final_hidden
-                    .sum_rows()
-                    .iter()
-                    .map(|x| x / seq)
-                    .collect();
+                let seq = final_hidden.rows() as f32;
+                let pooled: Vec<f32> = final_hidden.sum_rows().iter().map(|x| x / seq).collect();
                 let pooled = Matrix::from_vec(1, self.config.d_model, pooled).expect("shape");
                 let logits = pooled.matmul(head);
                 Prediction::Class(flux_tensor::stats::argmax(logits.row(0)).unwrap_or(0))
@@ -860,21 +815,11 @@ impl MoeModel {
         }
     }
 
-    /// Loss of one sample (forward only — no parameter or input gradients).
-    ///
-    /// This is the cheap path for loss probes such as SPSA perturbation
-    /// evaluations, which previously paid a full backward pass per probe.
-    pub fn sample_loss(&self, sample: &Sample) -> f32 {
-        let final_hidden = self.forward_no_cache(&sample.tokens, None);
-        let loss = self.head_loss(sample, &final_hidden);
-        final_hidden.recycle();
-        loss
-    }
-
     /// Mean per-sample loss over a mini-batch, with one packed forward pass
-    /// (no parameter or input gradients). The batched analogue of averaging
-    /// [`MoeModel::sample_loss`] over the samples — SPSA loss probes call
-    /// this so each perturbation evaluation pays one batched forward.
+    /// (no parameter or input gradients). Equal to averaging the
+    /// [`MoeModel::sample_gradients`] loss over the samples — SPSA loss
+    /// probes call this so each perturbation evaluation pays one batched
+    /// forward.
     pub fn batch_loss(&self, samples: &[&Sample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
@@ -945,9 +890,9 @@ impl MoeModel {
             let refs: Vec<&Sample> = chunk.iter().collect();
             let (final_hidden, batch) = self.forward_no_cache_batch(&refs);
             for (sample, &(start, end)) in chunk.iter().zip(batch.bounds()) {
-                let cache = Self::light_cache(final_hidden.copy_rows(start, end));
-                loss_sum += self.head_loss(sample, &cache.final_hidden);
-                match (&sample.task, self.predict_from_cache(sample, &cache)) {
+                let segment = final_hidden.copy_rows(start, end);
+                loss_sum += self.head_loss(sample, &segment);
+                match (&sample.task, self.predict_from_hidden(sample, &segment)) {
                     (Task::Generation { reference }, Prediction::Tokens(pred)) => {
                         score_sum += flux_metrics_rouge(&pred, reference);
                     }
@@ -958,7 +903,7 @@ impl MoeModel {
                     }
                     _ => {}
                 }
-                cache.final_hidden.recycle();
+                segment.recycle();
             }
             final_hidden.recycle();
         }
@@ -973,7 +918,7 @@ impl MoeModel {
     /// Mean-pooled final hidden state of a sample, used as the "final token
     /// embeddings" in the paper's output-error measurements (Fig. 8).
     pub fn final_embedding(&self, sample: &Sample) -> Vec<f32> {
-        let final_hidden = self.forward_no_cache(&sample.tokens, None);
+        let (final_hidden, _) = self.forward_no_cache_batch(&[sample]);
         let seq = final_hidden.rows() as f32;
         final_hidden.sum_rows().iter().map(|x| x / seq).collect()
     }
@@ -1105,7 +1050,7 @@ mod tests {
     #[test]
     fn forward_produces_final_hidden() {
         let model = tiny_model(2);
-        let cache = model.forward(&[1, 2, 3, 4, 5], None);
+        let cache = model.forward(&[1, 2, 3, 4, 5]);
         assert_eq!(cache.final_hidden.shape(), (5, 16));
         assert!(cache.final_hidden.as_slice().iter().all(|x| x.is_finite()));
     }
@@ -1113,7 +1058,7 @@ mod tests {
     #[test]
     fn out_of_vocab_tokens_are_clamped() {
         let model = tiny_model(3);
-        let cache = model.forward(&[9999, 0, 63], None);
+        let cache = model.forward(&[9999, 0, 63]);
         assert_eq!(cache.final_hidden.rows(), 3);
     }
 
@@ -1279,7 +1224,7 @@ mod tests {
         model.set_layer_experts(0, experts, map);
         assert_eq!(model.layers[0].moe.num_experts(), 5);
         // Forward still works.
-        let cache = model.forward(&[1, 2, 3], None);
+        let cache = model.forward(&[1, 2, 3]);
         assert_eq!(cache.final_hidden.rows(), 3);
     }
 

@@ -143,14 +143,20 @@ fn batched_forward_is_bit_identical_to_per_sample() {
     let samples = gen_samples(12, 6);
     let refs: Vec<&Sample> = samples.iter().collect();
     let cache = model.forward_batch(&refs);
+    let (no_cache, no_cache_batch) = model.forward_no_cache_batch(&refs);
+    assert_eq!(no_cache_batch.bounds(), cache.batch.bounds());
     for (sample, &(start, end)) in samples.iter().zip(cache.batch.bounds()) {
-        let single = model.forward(&sample.tokens, None);
-        let segment = cache.final_hidden.copy_rows(start, end);
-        assert_eq!(
-            segment.as_slice(),
-            single.final_hidden.as_slice(),
-            "packed final hidden must match the per-sample forward bitwise"
-        );
+        let single = model.forward(&sample.tokens);
+        for (path, packed) in [
+            ("forward_batch", &cache.final_hidden),
+            ("forward_no_cache_batch", &no_cache),
+        ] {
+            assert_eq!(
+                packed.copy_rows(start, end).as_slice(),
+                single.final_hidden.as_slice(),
+                "{path}: packed final hidden must match the per-sample forward bitwise"
+            );
+        }
     }
 }
 
@@ -160,7 +166,7 @@ fn batched_forward_is_bit_identical_to_per_sample() {
 /// SIMD dispatch level, over ragged bounds including length-1 samples.
 #[test]
 fn block_diag_attention_matches_per_sample_at_every_level() {
-    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| simd::is_supported(l))
         .collect();
@@ -210,8 +216,11 @@ fn batch_loss_matches_mean_sample_loss() {
     let samples = cls_samples(14, 7);
     let refs: Vec<&Sample> = samples.iter().collect();
     let batched = model.batch_loss(&refs);
-    let mean: f32 =
-        samples.iter().map(|s| model.sample_loss(s)).sum::<f32>() / samples.len() as f32;
+    let mean: f32 = samples
+        .iter()
+        .map(|s| model.sample_gradients(s, None).loss)
+        .sum::<f32>()
+        / samples.len() as f32;
     assert_eq!(batched, mean, "batched loss probe diverged");
     assert_eq!(model.batch_loss(&[]), 0.0);
 }

@@ -85,8 +85,8 @@ proptest! {
         tokens in prop::collection::vec(0u32..10_000, 1..12),
     ) {
         let model = tiny_model(seed);
-        let a = model.forward(&tokens, None);
-        let b = model.forward(&tokens, None);
+        let a = model.forward(&tokens);
+        let b = model.forward(&tokens);
         prop_assert_eq!(a.final_hidden.shape(), (tokens.len(), 16));
         prop_assert!(a.final_hidden.as_slice().iter().all(|x| x.is_finite()));
         prop_assert_eq!(a.final_hidden, b.final_hidden);

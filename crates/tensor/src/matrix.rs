@@ -47,11 +47,10 @@ fn gemm_accumulate(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 /// arithmetic.
 ///
 /// The inner microkernels come from the runtime dispatch table
-/// ([`crate::simd::active`]): the scalar reference, SSE2 (bit-identical to
-/// scalar) or AVX2+FMA. Each variant's per-element accumulation order is
-/// fixed and independent of `m`/`n`/blocking, which is what keeps every
-/// variant individually deterministic across thread counts and batch
-/// shapes.
+/// ([`crate::simd::active`]): the scalar reference or AVX2+FMA. Each
+/// variant's per-element accumulation order is fixed and independent of
+/// `m`/`n`/blocking, which is what keeps every variant individually
+/// deterministic across thread counts and batch shapes.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     m: usize,

@@ -8,8 +8,11 @@
 //! | `FLUX_SIMD`      | meaning                                            |
 //! |------------------|----------------------------------------------------|
 //! | `0` / `scalar`   | pinned scalar reference kernels                    |
-//! | `1` / `auto` / _unset_ | best level the CPU supports (AVX2+FMA, else SSE2, else scalar) |
-//! | `sse2` / `avx2`  | force a specific level (panics if unsupported)     |
+//! | `1` / `auto` / _unset_ | best level the CPU supports (AVX2+FMA, else scalar) |
+//! | `avx2`           | force AVX2+FMA (panics if unsupported)             |
+//!
+//! There is no 128-bit level: the scalar loops already auto-vectorize under
+//! the x86-64 baseline, and hand-written 128-bit kernels measured no faster.
 //!
 //! # Determinism contract
 //!
@@ -21,11 +24,6 @@
 //!
 //! Across variants the contract is tiered:
 //!
-//! - **SSE2 ≡ scalar bitwise.** The SSE2 GEMM kernels replicate the scalar
-//!   reference's 4-term grouping exactly (`t = a₀b₀ + a₁b₁ + a₂b₂ + a₃b₃;
-//!   acc += t`, left-associated, no FMA), so SSE2 results are bit-identical
-//!   to the scalar kernels — vectorization only changes how many columns
-//!   are processed per instruction, never the per-element operation order.
 //! - **AVX2+FMA agrees within tolerance.** The AVX2 kernels use one fused
 //!   multiply-add per depth step (`acc = fma(aₚ, bₚⱼ, acc)`, sequential over
 //!   the depth), which is *more* accurate than the scalar grouping but not
@@ -46,7 +44,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Register-tile height of the scalar and SSE2 GEMM microkernels. Each
+/// Register-tile height of the scalar GEMM microkernel. Each
 /// level publishes its own height via [`Kernels::mr`]; the panel packing in
 /// `matrix.rs` interleaves `A` rows with exactly that stride.
 const MR4: usize = 4;
@@ -62,10 +60,8 @@ const MR6: usize = 6;
 pub enum SimdLevel {
     /// Pinned scalar reference kernels (the pre-dispatch behavior).
     Scalar = 0,
-    /// SSE2 128-bit kernels, bit-identical to scalar.
-    Sse2 = 1,
     /// AVX2+FMA 256-bit kernels (tolerance-equivalent to scalar).
-    Avx2 = 2,
+    Avx2 = 1,
 }
 
 impl SimdLevel {
@@ -73,7 +69,6 @@ impl SimdLevel {
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -81,7 +76,6 @@ impl SimdLevel {
     fn from_u8(v: u8) -> Self {
         match v {
             0 => SimdLevel::Scalar,
-            1 => SimdLevel::Sse2,
             _ => SimdLevel::Avx2,
         }
     }
@@ -91,8 +85,6 @@ impl SimdLevel {
 pub fn is_supported(level: SimdLevel) -> bool {
     match level {
         SimdLevel::Scalar => true,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => true, // baseline of the x86-64 ABI
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             std::arch::is_x86_feature_detected!("avx2")
@@ -107,8 +99,6 @@ pub fn is_supported(level: SimdLevel) -> bool {
 pub fn detect_best() -> SimdLevel {
     if is_supported(SimdLevel::Avx2) {
         SimdLevel::Avx2
-    } else if is_supported(SimdLevel::Sse2) {
-        SimdLevel::Sse2
     } else {
         SimdLevel::Scalar
     }
@@ -117,13 +107,6 @@ pub fn detect_best() -> SimdLevel {
 fn resolve_from_env() -> SimdLevel {
     match std::env::var("FLUX_SIMD").as_deref() {
         Ok("0") | Ok("scalar") => SimdLevel::Scalar,
-        Ok("sse2") => {
-            assert!(
-                is_supported(SimdLevel::Sse2),
-                "FLUX_SIMD=sse2 unsupported on this host"
-            );
-            SimdLevel::Sse2
-        }
         Ok("avx2") => {
             assert!(
                 is_supported(SimdLevel::Avx2),
@@ -133,7 +116,7 @@ fn resolve_from_env() -> SimdLevel {
         }
         Ok("1") | Ok("auto") | Ok("") | Err(_) => detect_best(),
         Ok(other) => {
-            panic!("FLUX_SIMD: unrecognized value {other:?} (expected 0|1|auto|scalar|sse2|avx2)")
+            panic!("FLUX_SIMD: unrecognized value {other:?} (expected 0|1|auto|scalar|avx2)")
         }
     }
 }
@@ -273,8 +256,6 @@ pub fn kernels_for(level: SimdLevel) -> &'static Kernels {
     match level {
         SimdLevel::Scalar => &SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => &SSE2_KERNELS,
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => &AVX2_KERNELS,
         #[cfg(not(target_arch = "x86_64"))]
         _ => &SCALAR_KERNELS,
@@ -286,22 +267,6 @@ static SCALAR_KERNELS: Kernels = Kernels {
     mr: MR4,
     row: row_scalar,
     tile: tile4_scalar,
-    axpy: axpy_scalar,
-    perturb: perturb_scalar,
-    gelu: gelu_scalar_slice,
-    gelu_grad: gelu_grad_scalar_slice,
-    gelu_grad_cached: gelu_grad_cached_scalar_slice,
-};
-
-#[cfg(target_arch = "x86_64")]
-static SSE2_KERNELS: Kernels = Kernels {
-    level: SimdLevel::Sse2,
-    mr: MR4,
-    row: row_sse2_dispatch,
-    tile: tile4_sse2_dispatch,
-    // The element-wise scalar loops are already bit-identical across levels
-    // and auto-vectorize under the SSE2 baseline target; only the GEMM
-    // kernels gain from hand-written SSE2.
     axpy: axpy_scalar,
     perturb: perturb_scalar,
     gelu: gelu_scalar_slice,
@@ -460,31 +425,6 @@ const CACHED_GRAD_CUTOFF: f32 = 1e-3;
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-fn row_sse2_dispatch(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
-    debug_assert!(out_row.len() >= n);
-    debug_assert!(a_row.is_empty() || b.len() >= (a_row.len() - 1) * ldb + n);
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-    unsafe { x86::row_sse2(a_row, b, ldb, n, out_row) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn tile4_sse2_dispatch(
-    pack: &[f32],
-    kc: usize,
-    b: &[f32],
-    ldb: usize,
-    n: usize,
-    out: &mut [f32],
-    ldc: usize,
-) {
-    debug_assert!(pack.len() >= kc * MR4);
-    debug_assert!(out.len() >= 3 * ldc + n);
-    debug_assert!(kc == 0 || b.len() >= (kc - 1) * ldb + n);
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; bounds checked above.
-    unsafe { x86::tile4_sse2(pack, kc, b, ldb, n, out, ldc) }
-}
-
-#[cfg(target_arch = "x86_64")]
 fn row_avx2_dispatch(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
     debug_assert!(out_row.len() >= n);
     debug_assert!(a_row.is_empty() || b.len() >= (a_row.len() - 1) * ldb + n);
@@ -555,212 +495,8 @@ mod x86 {
     //! the detection invariant.
     #![allow(clippy::missing_safety_doc)]
 
-    use super::{CACHED_GRAD_CUTOFF, GELU_3A, GELU_A, GELU_C, MR4, MR6};
+    use super::{CACHED_GRAD_CUTOFF, GELU_3A, GELU_A, GELU_C, MR6};
     use core::arch::x86_64::*;
-
-    // -- SSE2 GEMM: bit-identical to the scalar reference -------------------
-
-    /// SSE2 row kernel. Per element this performs exactly the scalar
-    /// reference's operation sequence (`t = a₀b₀ + a₁b₁ + a₂b₂ + a₃b₃`,
-    /// left-associated multiply/adds, then `acc += t`), four columns per
-    /// instruction. No FMA: SSE2 multiply and add round like the scalar ops,
-    /// so results are bitwise equal to [`super::row_scalar`].
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn row_sse2(a_row: &[f32], b: &[f32], ldb: usize, n: usize, out_row: &mut [f32]) {
-        let kc = a_row.len();
-        let bp = b.as_ptr();
-        let op = out_row.as_mut_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut acc = _mm_loadu_ps(op.add(j));
-            let mut p = 0;
-            while p + 4 <= kc {
-                let base = bp.add(p * ldb + j);
-                let t = _mm_add_ps(
-                    _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_mul_ps(_mm_set1_ps(*a_row.get_unchecked(p)), _mm_loadu_ps(base)),
-                            _mm_mul_ps(
-                                _mm_set1_ps(*a_row.get_unchecked(p + 1)),
-                                _mm_loadu_ps(base.add(ldb)),
-                            ),
-                        ),
-                        _mm_mul_ps(
-                            _mm_set1_ps(*a_row.get_unchecked(p + 2)),
-                            _mm_loadu_ps(base.add(2 * ldb)),
-                        ),
-                    ),
-                    _mm_mul_ps(
-                        _mm_set1_ps(*a_row.get_unchecked(p + 3)),
-                        _mm_loadu_ps(base.add(3 * ldb)),
-                    ),
-                );
-                acc = _mm_add_ps(acc, t);
-                p += 4;
-            }
-            while p < kc {
-                let a0 = _mm_set1_ps(*a_row.get_unchecked(p));
-                acc = _mm_add_ps(acc, _mm_mul_ps(a0, _mm_loadu_ps(bp.add(p * ldb + j))));
-                p += 1;
-            }
-            _mm_storeu_ps(op.add(j), acc);
-            j += 4;
-        }
-        while j < n {
-            let mut acc = *op.add(j);
-            let mut p = 0;
-            while p + 4 <= kc {
-                let t = *a_row.get_unchecked(p) * *bp.add(p * ldb + j)
-                    + *a_row.get_unchecked(p + 1) * *bp.add((p + 1) * ldb + j)
-                    + *a_row.get_unchecked(p + 2) * *bp.add((p + 2) * ldb + j)
-                    + *a_row.get_unchecked(p + 3) * *bp.add((p + 3) * ldb + j);
-                acc += t;
-                p += 4;
-            }
-            while p < kc {
-                acc += *a_row.get_unchecked(p) * *bp.add(p * ldb + j);
-                p += 1;
-            }
-            *op.add(j) = acc;
-            j += 1;
-        }
-    }
-
-    /// SSE2 four-row tile, same per-element sequence as
-    /// [`super::tile4_scalar`] (bitwise equal results).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn tile4_sse2(
-        pack: &[f32],
-        kc: usize,
-        b: &[f32],
-        ldb: usize,
-        n: usize,
-        out: &mut [f32],
-        ldc: usize,
-    ) {
-        let pk = pack.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut acc0 = _mm_loadu_ps(op.add(j));
-            let mut acc1 = _mm_loadu_ps(op.add(ldc + j));
-            let mut acc2 = _mm_loadu_ps(op.add(2 * ldc + j));
-            let mut acc3 = _mm_loadu_ps(op.add(3 * ldc + j));
-            let mut p = 0;
-            while p + 4 <= kc {
-                let base = bp.add(p * ldb + j);
-                let v0 = _mm_loadu_ps(base);
-                let v1 = _mm_loadu_ps(base.add(ldb));
-                let v2 = _mm_loadu_ps(base.add(2 * ldb));
-                let v3 = _mm_loadu_ps(base.add(3 * ldb));
-                let ap = pk.add(p * MR4);
-                acc0 = _mm_add_ps(
-                    acc0,
-                    _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_add_ps(
-                                _mm_mul_ps(_mm_set1_ps(*ap), v0),
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(4)), v1),
-                            ),
-                            _mm_mul_ps(_mm_set1_ps(*ap.add(8)), v2),
-                        ),
-                        _mm_mul_ps(_mm_set1_ps(*ap.add(12)), v3),
-                    ),
-                );
-                acc1 = _mm_add_ps(
-                    acc1,
-                    _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_add_ps(
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(1)), v0),
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(5)), v1),
-                            ),
-                            _mm_mul_ps(_mm_set1_ps(*ap.add(9)), v2),
-                        ),
-                        _mm_mul_ps(_mm_set1_ps(*ap.add(13)), v3),
-                    ),
-                );
-                acc2 = _mm_add_ps(
-                    acc2,
-                    _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_add_ps(
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(2)), v0),
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(6)), v1),
-                            ),
-                            _mm_mul_ps(_mm_set1_ps(*ap.add(10)), v2),
-                        ),
-                        _mm_mul_ps(_mm_set1_ps(*ap.add(14)), v3),
-                    ),
-                );
-                acc3 = _mm_add_ps(
-                    acc3,
-                    _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_add_ps(
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(3)), v0),
-                                _mm_mul_ps(_mm_set1_ps(*ap.add(7)), v1),
-                            ),
-                            _mm_mul_ps(_mm_set1_ps(*ap.add(11)), v2),
-                        ),
-                        _mm_mul_ps(_mm_set1_ps(*ap.add(15)), v3),
-                    ),
-                );
-                p += 4;
-            }
-            while p < kc {
-                let v = _mm_loadu_ps(bp.add(p * ldb + j));
-                let ap = pk.add(p * MR4);
-                acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_set1_ps(*ap), v));
-                acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_set1_ps(*ap.add(1)), v));
-                acc2 = _mm_add_ps(acc2, _mm_mul_ps(_mm_set1_ps(*ap.add(2)), v));
-                acc3 = _mm_add_ps(acc3, _mm_mul_ps(_mm_set1_ps(*ap.add(3)), v));
-                p += 1;
-            }
-            _mm_storeu_ps(op.add(j), acc0);
-            _mm_storeu_ps(op.add(ldc + j), acc1);
-            _mm_storeu_ps(op.add(2 * ldc + j), acc2);
-            _mm_storeu_ps(op.add(3 * ldc + j), acc3);
-            j += 4;
-        }
-        while j < n {
-            let mut acc = [
-                *op.add(j),
-                *op.add(ldc + j),
-                *op.add(2 * ldc + j),
-                *op.add(3 * ldc + j),
-            ];
-            let mut p = 0;
-            while p + 4 <= kc {
-                let v0 = *bp.add(p * ldb + j);
-                let v1 = *bp.add((p + 1) * ldb + j);
-                let v2 = *bp.add((p + 2) * ldb + j);
-                let v3 = *bp.add((p + 3) * ldb + j);
-                let ap = pk.add(p * MR4);
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a += *ap.add(r) * v0
-                        + *ap.add(4 + r) * v1
-                        + *ap.add(8 + r) * v2
-                        + *ap.add(12 + r) * v3;
-                }
-                p += 4;
-            }
-            while p < kc {
-                let v = *bp.add(p * ldb + j);
-                let ap = pk.add(p * MR4);
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a += *ap.add(r) * v;
-                }
-                p += 1;
-            }
-            *op.add(j) = acc[0];
-            *op.add(ldc + j) = acc[1];
-            *op.add(2 * ldc + j) = acc[2];
-            *op.add(3 * ldc + j) = acc[3];
-            j += 1;
-        }
-    }
 
     // -- AVX2+FMA GEMM: sequential depth-ordered FMA chains -----------------
 
@@ -1206,23 +942,6 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_gemm_is_bit_identical_to_scalar() {
-        for &(m, k, n) in &[
-            (5usize, 7usize, 9usize),
-            (4, 16, 16),
-            (9, 1, 3),
-            (6, 130, 5),
-        ] {
-            let a = sample(m * k, 1000 + (m * 31 + k * 7 + n) as u64);
-            let b = sample(k * n, 2000 + (m + k + n) as u64);
-            let scalar = run_gemm(SimdLevel::Scalar, m, k, n, &a, &b);
-            let sse2 = run_gemm(SimdLevel::Sse2, m, k, n, &a, &b);
-            assert_eq!(scalar, sse2, "({m},{k},{n})");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
     fn avx2_gemm_matches_scalar_within_tolerance() {
         if !is_supported(SimdLevel::Avx2) {
             return;
@@ -1253,7 +972,7 @@ mod tests {
         if !is_supported(SimdLevel::Avx2) {
             return;
         }
-        for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             // m covers ≥2 full tiles of either height (4 or 6) plus a
             // remainder row; n covers the 16-wide, 8-wide and scalar column
             // paths of the AVX2 tile.

@@ -1,10 +1,10 @@
 //! End-to-end scalar-vs-SIMD equivalence of the kernel dispatch layer.
 //!
-//! The scalar kernels are the pinned reference semantics; the SIMD levels
-//! (SSE2 bit-identical, AVX2+FMA tolerance-equal) must not change what the
-//! system *learns*: the final evaluation score of every method in the
-//! paper's comparison must be identical whether the whole federated run
-//! executes on scalar or on the best vectorized kernels. CI additionally
+//! The scalar kernels are the pinned reference semantics; the AVX2+FMA
+//! level (tolerance-equal to scalar) must not change what the system
+//! *learns*: the final evaluation score of every method in the paper's
+//! comparison must be identical whether the whole federated run executes
+//! on scalar or on the best vectorized kernels. CI additionally
 //! sweeps `FLUX_SIMD=0/1` over the golden-trace suites, which pins the full
 //! per-round traces bit-identically for each fixed level.
 //!
