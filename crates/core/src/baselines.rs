@@ -321,9 +321,10 @@ pub fn top_frequency_experts(profile: &ActivationProfile, count: usize) -> HashS
 mod tests {
     use super::*;
     use flux_data::{DatasetGenerator, DatasetKind};
-    use flux_fl::build_fleet;
+    use flux_fl::FleetSpec;
     use flux_moe::MoeConfig;
     use flux_tensor::SeededRng;
+    use std::sync::Arc;
 
     fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
         let mut rng = SeededRng::new(1);
@@ -332,7 +333,7 @@ mod tests {
             .with_num_samples(24)
             .with_mean_seq_len(8);
         let data = DatasetGenerator::new(cfg).generate(&mut rng);
-        let fleet = build_fleet(&data, 3, 0.5, &mut rng);
+        let fleet = FleetSpec::build(Arc::new(data), 3, 0.5, &mut rng).materialize_all();
         (model, fleet, CostModel::default())
     }
 

@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn full_participation_and_clamping() {
-        // K >= N → everyone, in id order (the legacy fleet).
+        // K >= N → everyone, in id order (full participation).
         let s = CohortSampler::new(5, 9, 3);
         assert_eq!(s.cohort(4), vec![0, 1, 2, 3, 4]);
         assert_eq!(s.cohort_size(), 5);

@@ -181,12 +181,12 @@ pub struct RunConfig {
     /// and per-round deadline. The default accepts every upload and never
     /// retries, which reproduces the fault-free pipeline bit-for-bit.
     pub fault_tolerance: FaultToleranceConfig,
-    /// Clients sampled into each round's cohort. `None` (the default) keeps
-    /// the legacy full-participation behavior: every registered client is
-    /// materialized up front and runs every round. `Some(k)` registers
-    /// `num_participants` lightweight client specs instead and materializes
+    /// Clients sampled into each round's cohort. `num_participants`
+    /// clients register as lightweight specs, and each round materializes
     /// only the `k` clients a seeded per-round sampler picks, so
     /// participant-state memory stays O(k) however many clients register.
+    /// `None` (the default) means full participation: K = N, every client
+    /// every round. No run materializes a participant before round 0.
     #[serde(default)]
     pub cohort_size: Option<usize>,
     /// Edge aggregators pre-reducing each round's uploads before the root
@@ -951,9 +951,8 @@ impl FederatedRun {
         let eval_indices: Vec<usize> = (0..test.len().min(cfg.eval_samples)).collect();
         let eval_set = test.subset(&eval_indices);
         // The fleet registers as lightweight specs (shared corpus + index
-        // shards + device profiles); the partition and device draws consume
-        // `fleet_rng` exactly as the eager builder did, so existing seeds
-        // reproduce bit-for-bit.
+        // shards + device profiles); only each round's cohort is ever
+        // materialized.
         let mut registry = FleetSpec::build(
             Arc::new(train),
             cfg.num_participants,
@@ -963,16 +962,13 @@ impl FederatedRun {
         if let Some(link) = cfg.link {
             registry.override_link(link);
         }
-        let sampler = cfg
-            .cohort_size
-            .map(|k| CohortSampler::new(cfg.num_participants, k, self.seed));
-        // Full participation materializes everyone up front (the legacy
-        // fleet); sampled runs materialize each round's cohort lazily.
-        let fleet = if sampler.is_some() {
-            Vec::new()
-        } else {
-            registry.materialize_all()
-        };
+        // Full participation is the K = N cohort; every run materializes
+        // its cohort per round.
+        let sampler = CohortSampler::new(
+            cfg.num_participants,
+            cfg.cohort_size.unwrap_or(cfg.num_participants),
+            self.seed,
+        );
 
         // Server-side state. Per-client profiling state is indexed by the
         // stable client id and spans the whole registry; only sampled
@@ -990,7 +986,7 @@ impl FederatedRun {
             method,
             registry,
             sampler,
-            fleet,
+            fleet: Vec::new(),
             eval_set,
             store,
             cost: CostModel::default(),
@@ -1376,12 +1372,12 @@ pub struct ActiveRun {
     /// The registered client fleet as lightweight specs (corpus indices +
     /// device profile); participants materialize from here.
     registry: FleetSpec,
-    /// When sampling, the per-round seeded cohort sampler.
-    sampler: Option<CohortSampler>,
-    /// The participants active in the current (or most recent) round. With
-    /// full participation this is the whole fleet, materialized once; with
-    /// cohort sampling it is replaced by each round's freshly materialized
-    /// cohort, so heavy participant state stays O(cohort).
+    /// The per-round seeded cohort sampler (K = N under full
+    /// participation).
+    sampler: CohortSampler,
+    /// The participants active in the current (or most recent) round,
+    /// replaced by each round's freshly materialized cohort, so heavy
+    /// participant state stays O(cohort).
     fleet: Vec<Participant>,
     eval_set: Dataset,
     store: Arc<ShardedStore>,
@@ -1429,8 +1425,8 @@ impl ActiveRun {
     }
 
     /// Number of participants materialized for the current (or most
-    /// recent) round: the cohort size when sampling, the whole fleet
-    /// otherwise (zero before a sampled run's first round).
+    /// recent) round: the cohort size, which is the whole fleet under full
+    /// participation (zero before round 0 in every run).
     pub fn active_participants(&self) -> usize {
         self.fleet.len()
     }
@@ -1438,10 +1434,7 @@ impl ActiveRun {
     /// The stable client ids round `round` dispatches (every registered
     /// client under full participation).
     pub fn cohort_of(&self, round: usize) -> Vec<usize> {
-        match &self.sampler {
-            Some(sampler) => sampler.cohort(round),
-            None => (0..self.registry.len()).collect(),
-        }
+        self.sampler.cohort(round)
     }
 
     /// Per-round `(hits, misses)` of the round-scoped quantized-model
@@ -1542,12 +1535,6 @@ impl ActiveRun {
         self.poll() == RunPhase::Done
     }
 
-    /// Rounds fully recorded so far (pipelined runs trail by one until
-    /// drained).
-    pub fn rounds_recorded(&self) -> usize {
-        self.records.len()
-    }
-
     /// Convenience: `start_round` + `finish_round`.
     pub fn step_round(&mut self, pool: &ThreadPool) {
         self.start_round(pool);
@@ -1585,21 +1572,19 @@ impl ActiveRun {
                 .collect(),
             fmes: self.fmes_profiles.clone(),
         });
-        // Cohort sampling: materialize only this round's K sampled clients
-        // (replacing the previous cohort, so heavy participant state stays
-        // O(K)). The sampler is a pure function of (seed, round), so a
-        // restored run re-derives the identical cohort.
-        if let Some(sampler) = &self.sampler {
-            let cohort = sampler.cohort(round);
-            self.fleet = cohort
-                .iter()
-                .map(|&id| self.registry.materialize(id))
-                .collect();
-        }
+        // Materialize only this round's K sampled clients (replacing the
+        // previous cohort, so heavy participant state stays O(K)). The
+        // sampler is a pure function of (seed, round), so a restored run
+        // re-derives the identical cohort.
+        self.fleet = self
+            .sampler
+            .cohort(round)
+            .iter()
+            .map(|&id| self.registry.materialize(id))
+            .collect();
         // Lift the active participants' profiling state out of the
         // registry-indexed arrays for the fan-out (cheap moves; blanks hold
-        // the seats), and put it back below. Full participation lifts
-        // everything, which reproduces the legacy zip exactly.
+        // the seats), and put it back below.
         let profiling_cfg = self.driver.config.profiling;
         let mut active_flux: Vec<FluxState> = self
             .fleet
@@ -2168,6 +2153,32 @@ mod tests {
         let again = FederatedRun::new(config, 19).run(Method::Flux);
         assert_eq!(result.rounds, again.rounds);
         assert_eq!(result.final_model.lm_head, again.final_model.lm_head);
+    }
+
+    #[test]
+    fn full_participation_is_the_k_equals_n_cohort() {
+        // `None`, an explicit K = N and an oversized K (clamped to N) all
+        // dispatch the same everyone-in-id-order cohort, so every method
+        // produces the same records and model, with and without faults.
+        let n = 6;
+        let clean = quick_config().with_participants(n);
+        let faulty = clean
+            .clone()
+            .with_fault_plan(FaultPlan::new(9).with_crashes(0.2));
+        for base in [clean, faulty] {
+            for method in Method::all() {
+                let reference = FederatedRun::new(base.clone(), 41).run(method);
+                for k in [n, n + 5] {
+                    let sampled = FederatedRun::new(base.clone().with_cohort(k), 41).run(method);
+                    assert_eq!(reference.rounds, sampled.rounds, "{method:?}, K = {k}");
+                    assert_eq!(
+                        reference.final_model.param_checksum(),
+                        sampled.final_model.param_checksum(),
+                        "{method:?}, K = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -65,10 +65,4 @@ impl MergingConfig {
         self.strategy = strategy;
         self
     }
-
-    /// Overrides the clustering mode.
-    pub fn with_clustering(mut self, clustering: ClusteringMode) -> Self {
-        self.clustering = clustering;
-        self
-    }
 }

@@ -41,8 +41,9 @@ pub(crate) struct RunState {
     pub(crate) mode: ExecutionMode,
     pub(crate) rounds: u32,
     pub(crate) participants: u32,
-    /// Clients sampled into each round's cohort (`None` = every registered
-    /// client participates every round, the legacy behavior).
+    /// Clients sampled into each round's cohort (`None` = K = N: every
+    /// registered client participates every round; no run materializes a
+    /// participant before round 0).
     pub(crate) cohort_size: Option<u32>,
     /// Edge aggregators pre-reducing each round (`1` = flat aggregation).
     pub(crate) aggregation_edges: u32,

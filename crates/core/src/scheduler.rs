@@ -224,7 +224,6 @@ pub struct ScheduledRun {
 pub struct Scheduler {
     pool: ThreadPool,
     policy: SchedulePolicy,
-    num_shards: usize,
 }
 
 impl Scheduler {
@@ -236,25 +235,14 @@ impl Scheduler {
 
     /// A scheduler on an explicit pool.
     pub fn on_pool(pool: ThreadPool, policy: SchedulePolicy) -> Self {
-        Self {
-            pool,
-            policy,
-            num_shards: DEFAULT_SHARDS,
-        }
-    }
-
-    /// Overrides the per-tenant shard count of the server
-    /// [`Scheduler::run_all`] creates.
-    pub fn with_shards(mut self, num_shards: usize) -> Self {
-        self.num_shards = num_shards.max(1);
-        self
+        Self { pool, policy }
     }
 
     /// Runs every job to completion against a fresh shared multi-tenant
     /// server, interleaving rounds according to the policy. Results come
     /// back in job order.
     pub fn run_all(&self, jobs: Vec<JobSpec>) -> Vec<ScheduledRun> {
-        let server = ParameterServer::empty(self.num_shards);
+        let server = ParameterServer::empty(DEFAULT_SHARDS);
         self.run_all_on(&server, jobs)
     }
 

@@ -24,12 +24,7 @@
 pub mod dataset;
 pub mod generator;
 pub mod partition;
-pub mod stream;
 
 pub use dataset::{Dataset, DatasetKind, Sample, Task};
 pub use generator::{DatasetConfig, DatasetGenerator};
-pub use partition::{
-    partition_iid, partition_indices_iid, partition_indices_non_iid, partition_non_iid,
-    PartitionConfig,
-};
-pub use stream::{MapStream, PartitionView, SampleStream, TakeStream};
+pub use partition::{partition_indices_iid, partition_indices_non_iid, PartitionConfig};

@@ -41,11 +41,8 @@ impl PartitionConfig {
     }
 }
 
-/// Computes the IID split (round-robin after shuffling) as index shards.
-///
-/// This is the lazy half of [`partition_iid`]: it consumes the RNG exactly
-/// as the materializing form does but returns only row indices, so a fleet
-/// registry can hold shards without cloning any samples.
+/// Computes the IID split (round-robin after shuffling) as index shards:
+/// shard `p` lists the dataset rows participant `p` owns.
 pub fn partition_indices_iid(
     num_samples: usize,
     num_participants: usize,
@@ -61,24 +58,14 @@ pub fn partition_indices_iid(
     shards
 }
 
-/// Splits a dataset IID (round-robin after shuffling) across participants.
-pub fn partition_iid(
-    dataset: &Dataset,
-    num_participants: usize,
-    rng: &mut SeededRng,
-) -> Vec<Dataset> {
-    partition_indices_iid(dataset.len(), num_participants, rng)
-        .iter()
-        .map(|s| dataset.subset(s))
-        .collect()
-}
-
-/// Computes the non-IID Dirichlet split as index shards.
+/// Splits a dataset non-IID by topic with Dirichlet skew, as index shards.
 ///
-/// The lazy half of [`partition_non_iid`]: identical RNG consumption and
-/// identical assignments, but no sample is cloned — shard `p` lists the
-/// dataset rows participant `p` would own. Materializing shard `p` with
-/// [`Dataset::subset`] reproduces the eager partition bit-for-bit.
+/// For every topic, the samples of that topic are distributed to
+/// participants according to a fresh `Dirichlet(alpha)` draw. Afterwards a
+/// rebalancing pass moves samples from the largest shards to any shard below
+/// `min_samples_per_participant`, so no participant starves. Shard `p` lists
+/// the dataset rows participant `p` owns; [`Dataset::subset`] materializes
+/// it.
 pub fn partition_indices_non_iid(
     dataset: &Dataset,
     config: &PartitionConfig,
@@ -131,23 +118,6 @@ pub fn partition_indices_non_iid(
     shards
 }
 
-/// Splits a dataset non-IID by topic with Dirichlet skew.
-///
-/// For every topic, the samples of that topic are distributed to
-/// participants according to a fresh `Dirichlet(alpha)` draw. Afterwards a
-/// rebalancing pass moves samples from the largest shards to any shard below
-/// `min_samples_per_participant`, so no participant starves.
-pub fn partition_non_iid(
-    dataset: &Dataset,
-    config: &PartitionConfig,
-    rng: &mut SeededRng,
-) -> Vec<Dataset> {
-    partition_indices_non_iid(dataset, config, rng)
-        .iter()
-        .map(|s| dataset.subset(s))
-        .collect()
-}
-
 /// Moves samples from the largest shards into shards below the minimum.
 fn rebalance(shards: &mut [Vec<usize>], min_per_shard: usize) {
     loop {
@@ -180,11 +150,16 @@ mod tests {
         DatasetGenerator::for_kind(DatasetKind::Mmlu, 256).generate(&mut rng)
     }
 
+    /// Materializes index shards into their per-participant datasets.
+    fn materialize(ds: &Dataset, shards: &[Vec<usize>]) -> Vec<Dataset> {
+        shards.iter().map(|s| ds.subset(s)).collect()
+    }
+
     #[test]
     fn iid_partition_covers_all_samples() {
         let ds = dataset(1);
         let mut rng = SeededRng::new(2);
-        let shards = partition_iid(&ds, 10, &mut rng);
+        let shards = materialize(&ds, &partition_indices_iid(ds.len(), 10, &mut rng));
         assert_eq!(shards.len(), 10);
         let total: usize = shards.iter().map(Dataset::len).sum();
         assert_eq!(total, ds.len());
@@ -199,7 +174,7 @@ mod tests {
         let ds = dataset(3);
         let mut rng = SeededRng::new(4);
         let cfg = PartitionConfig::new(10).with_alpha(0.3);
-        let shards = partition_non_iid(&ds, &cfg, &mut rng);
+        let shards = materialize(&ds, &partition_indices_non_iid(&ds, &cfg, &mut rng));
         assert_eq!(shards.len(), 10);
         let total: usize = shards.iter().map(Dataset::len).sum();
         assert_eq!(total, ds.len());
@@ -209,9 +184,9 @@ mod tests {
     fn non_iid_is_more_skewed_than_iid() {
         let ds = dataset(5);
         let mut rng = SeededRng::new(6);
-        let iid = partition_iid(&ds, 8, &mut rng);
+        let iid = materialize(&ds, &partition_indices_iid(ds.len(), 8, &mut rng));
         let cfg = PartitionConfig::new(8).with_alpha(0.1);
-        let non_iid = partition_non_iid(&ds, &cfg, &mut rng);
+        let non_iid = materialize(&ds, &partition_indices_non_iid(&ds, &cfg, &mut rng));
 
         // Measure topic skew as the mean (over shards) of the max topic share.
         let skew = |shards: &[Dataset]| {
@@ -243,7 +218,7 @@ mod tests {
             alpha: 0.05,
             min_samples_per_participant: 3,
         };
-        let shards = partition_non_iid(&ds, &cfg, &mut rng);
+        let shards = materialize(&ds, &partition_indices_non_iid(&ds, &cfg, &mut rng));
         assert!(shards.iter().all(|s| s.len() >= 3));
     }
 
@@ -251,30 +226,16 @@ mod tests {
     fn partition_is_deterministic() {
         let ds = dataset(9);
         let cfg = PartitionConfig::new(5);
-        let a = partition_non_iid(&ds, &cfg, &mut SeededRng::new(10));
-        let b = partition_non_iid(&ds, &cfg, &mut SeededRng::new(10));
+        let a = materialize(
+            &ds,
+            &partition_indices_non_iid(&ds, &cfg, &mut SeededRng::new(10)),
+        );
+        let b = materialize(
+            &ds,
+            &partition_indices_non_iid(&ds, &cfg, &mut SeededRng::new(10)),
+        );
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.samples, y.samples);
-        }
-    }
-
-    #[test]
-    fn index_split_matches_materialized_split() {
-        // The lazy index form must consume the RNG identically to the eager
-        // form, so the same seed yields the same assignment either way.
-        let ds = dataset(13);
-        let cfg = PartitionConfig::new(7).with_alpha(0.2);
-        let indices = partition_indices_non_iid(&ds, &cfg, &mut SeededRng::new(14));
-        let eager = partition_non_iid(&ds, &cfg, &mut SeededRng::new(14));
-        assert_eq!(indices.len(), eager.len());
-        for (shard, materialized) in indices.iter().zip(eager.iter()) {
-            assert_eq!(ds.subset(shard).samples, materialized.samples);
-        }
-
-        let iid_indices = partition_indices_iid(ds.len(), 7, &mut SeededRng::new(15));
-        let iid_eager = partition_iid(&ds, 7, &mut SeededRng::new(15));
-        for (shard, materialized) in iid_indices.iter().zip(iid_eager.iter()) {
-            assert_eq!(ds.subset(shard).samples, materialized.samples);
         }
     }
 
@@ -282,7 +243,7 @@ mod tests {
     fn single_participant_gets_everything() {
         let ds = dataset(11);
         let mut rng = SeededRng::new(12);
-        let shards = partition_non_iid(&ds, &PartitionConfig::new(1), &mut rng);
+        let shards = partition_indices_non_iid(&ds, &PartitionConfig::new(1), &mut rng);
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].len(), ds.len());
     }

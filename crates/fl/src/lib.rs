@@ -45,7 +45,7 @@ pub use compress::{
 pub use cost::{CostModel, RoundCostBreakdown};
 pub use device::{DeviceClass, DeviceProfile, LinkProfile};
 pub use fault::{FaultKind, FaultPlan, FaultToleranceConfig};
-pub use participant::{build_fleet, ClientSpec, FleetSpec, Participant, ParticipantBehavior};
+pub use participant::{ClientSpec, FleetSpec, Participant, ParticipantBehavior};
 pub use server::{ParameterServer, DEFAULT_SHARDS};
 pub use snapshot::{
     decode_staged_aggregator, encode_staged_aggregator, load_store, CheckpointStats,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use flux_data::{partition_indices_non_iid, Dataset, PartitionConfig, PartitionView};
+use flux_data::{partition_indices_non_iid, Dataset, PartitionConfig};
 use flux_moe::MoeConfig;
 use flux_quant::BitWidth;
 use flux_tensor::SeededRng;
@@ -165,7 +165,7 @@ pub struct ClientSpec {
     /// Profiling bit width this client's device affords.
     pub profile_width: BitWidth,
     /// Rows of the shared corpus forming this client's shard.
-    indices: Arc<Vec<usize>>,
+    indices: Vec<usize>,
 }
 
 impl ClientSpec {
@@ -180,9 +180,8 @@ impl ClientSpec {
 /// Registration stores per client only a device profile and a shard index
 /// list against an `Arc`-shared corpus, so a 10k-client fleet costs O(total
 /// indices) instead of N cloned [`Dataset`] shards. Participants are
-/// materialized lazily — typically just the K clients sampled into a
-/// round's cohort — via [`FleetSpec::materialize`], which reproduces the
-/// eager [`build_fleet`] shard for that id bit-for-bit.
+/// materialized on demand — the K clients sampled into a round's cohort —
+/// via [`FleetSpec::materialize`].
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     corpus: Arc<Dataset>,
@@ -193,12 +192,11 @@ impl FleetSpec {
     /// Registers `num_clients` clients over `corpus`.
     ///
     /// When the fleet is no larger than the corpus, shards come from the
-    /// non-IID Dirichlet partitioner with RNG consumption identical to the
-    /// eager [`build_fleet`] (so legacy runs replay bit-identically).
-    /// Larger fleets — the 10k-cohort regime, where a Dirichlet split
-    /// cannot give every client its minimum shard — tile the corpus
-    /// cyclically instead: client `i` owns rows `{2i, 2i+1} mod len`,
-    /// deterministically and without consuming partition draws.
+    /// non-IID Dirichlet partitioner. Larger fleets — the 10k-cohort
+    /// regime, where a Dirichlet split cannot give every client its minimum
+    /// shard — tile the corpus cyclically instead: client `i` owns rows
+    /// `{2i, 2i+1} mod len`, deterministically and without consuming
+    /// partition draws.
     pub fn build(
         corpus: Arc<Dataset>,
         num_clients: usize,
@@ -207,8 +205,7 @@ impl FleetSpec {
     ) -> Self {
         assert!(num_clients > 0, "need at least one client");
         let shards: Vec<Vec<usize>> = if corpus.is_empty() {
-            // The eager partitioner hands out empty shards (and consumes no
-            // draws) for an empty corpus; mirror that.
+            // An empty corpus yields empty shards and consumes no draws.
             vec![Vec::new(); num_clients]
         } else if num_clients <= corpus.len() {
             partition_indices_non_iid(
@@ -231,7 +228,7 @@ impl FleetSpec {
                 id,
                 profile_width: profile_width_for(&device),
                 device,
-                indices: Arc::new(shard),
+                indices: shard,
             })
             .collect();
         Self { corpus, clients }
@@ -252,23 +249,6 @@ impl FleetSpec {
         &self.clients[id]
     }
 
-    /// All registration records, in id order.
-    pub fn clients(&self) -> &[ClientSpec] {
-        &self.clients
-    }
-
-    /// The shared corpus behind every shard.
-    pub fn corpus(&self) -> &Arc<Dataset> {
-        &self.corpus
-    }
-
-    /// A lazy stream over client `id`'s shard (no samples cloned until
-    /// consumed).
-    pub fn view(&self, id: usize) -> PartitionView {
-        let c = &self.clients[id];
-        PartitionView::new(Arc::clone(&self.corpus), Arc::clone(&c.indices))
-    }
-
     /// Materializes client `id` into a full [`Participant`] (clones its
     /// shard out of the corpus).
     pub fn materialize(&self, id: usize) -> Participant {
@@ -281,7 +261,7 @@ impl FleetSpec {
         }
     }
 
-    /// Materializes every client — the legacy full-participation fleet.
+    /// Materializes every client in id order.
     pub fn materialize_all(&self) -> Vec<Participant> {
         (0..self.clients.len())
             .map(|id| self.materialize(id))
@@ -297,21 +277,6 @@ impl FleetSpec {
     }
 }
 
-/// Builds a heterogeneous fleet of participants from a dataset.
-///
-/// The dataset is split non-IID across participants (Dirichlet topic skew)
-/// and each participant is paired with a sampled consumer-GPU profile.
-/// This is the eager form of [`FleetSpec::build`]: every client is
-/// materialized immediately.
-pub fn build_fleet(
-    dataset: &Dataset,
-    num_participants: usize,
-    alpha: f32,
-    rng: &mut SeededRng,
-) -> Vec<Participant> {
-    FleetSpec::build(Arc::new(dataset.clone()), num_participants, alpha, rng).materialize_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,11 +287,21 @@ mod tests {
         DatasetGenerator::for_kind(DatasetKind::Mmlu, 256).generate(&mut rng)
     }
 
+    /// Registers `n` clients over `ds` and materializes every one.
+    fn materialized_fleet(
+        ds: &Dataset,
+        n: usize,
+        alpha: f32,
+        rng: &mut SeededRng,
+    ) -> Vec<Participant> {
+        FleetSpec::build(Arc::new(ds.clone()), n, alpha, rng).materialize_all()
+    }
+
     #[test]
     fn fleet_covers_all_samples_and_ids() {
         let ds = dataset();
         let mut rng = SeededRng::new(2);
-        let fleet = build_fleet(&ds, 10, 0.5, &mut rng);
+        let fleet = materialized_fleet(&ds, 10, 0.5, &mut rng);
         assert_eq!(fleet.len(), 10);
         let total: usize = fleet.iter().map(|p| p.num_samples()).sum();
         assert_eq!(total, ds.len());
@@ -340,7 +315,7 @@ mod tests {
         let ds = dataset();
         let mut rng = SeededRng::new(3);
         let cfg = MoeConfig::llama_moe_sim();
-        let fleet = build_fleet(&ds, 8, 0.5, &mut rng);
+        let fleet = materialized_fleet(&ds, 8, 0.5, &mut rng);
         for p in &fleet {
             let b = p.expert_capacity(&cfg);
             let bt = p.tuning_capacity(&cfg);
@@ -355,7 +330,7 @@ mod tests {
     fn profile_width_matches_device_size() {
         let ds = dataset();
         let mut rng = SeededRng::new(4);
-        let fleet = build_fleet(&ds, 30, 0.5, &mut rng);
+        let fleet = materialized_fleet(&ds, 30, 0.5, &mut rng);
         for p in &fleet {
             match p.profile_width {
                 BitWidth::Int2 => assert!(p.device.gpu_memory_gb <= 8.0),
@@ -371,7 +346,7 @@ mod tests {
     fn tokens_per_round_positive() {
         let ds = dataset();
         let mut rng = SeededRng::new(5);
-        let fleet = build_fleet(&ds, 5, 0.5, &mut rng);
+        let fleet = materialized_fleet(&ds, 5, 0.5, &mut rng);
         assert!(fleet.iter().all(|p| p.tokens_per_round() > 0));
     }
 
@@ -410,10 +385,10 @@ mod tests {
 
     #[test]
     fn lazy_registry_matches_eager_fleet_bit_for_bit() {
-        // FleetSpec::build must consume the RNG exactly like build_fleet,
-        // and lazy materialization must reproduce the eager shards.
+        // Materializing one client on demand must reproduce that client of
+        // the fully materialized fleet.
         let ds = dataset();
-        let eager = build_fleet(&ds, 9, 0.4, &mut SeededRng::new(21));
+        let eager = materialized_fleet(&ds, 9, 0.4, &mut SeededRng::new(21));
         let spec = FleetSpec::build(Arc::new(ds.clone()), 9, 0.4, &mut SeededRng::new(21));
         assert_eq!(spec.len(), eager.len());
         for p in &eager {
@@ -422,20 +397,6 @@ mod tests {
             assert_eq!(lazy.device, p.device);
             assert_eq!(lazy.profile_width, p.profile_width);
             assert_eq!(lazy.train_data.samples, p.train_data.samples);
-        }
-    }
-
-    #[test]
-    fn registry_views_stream_the_same_shard_it_materializes() {
-        use flux_data::SampleStream;
-        let ds = dataset();
-        let spec = FleetSpec::build(Arc::new(ds), 6, 0.5, &mut SeededRng::new(22));
-        for id in 0..spec.len() {
-            let mut view = spec.view(id);
-            assert_eq!(
-                view.materialize().samples,
-                spec.materialize(id).train_data.samples
-            );
         }
     }
 
@@ -472,8 +433,8 @@ mod tests {
     #[test]
     fn fleet_is_deterministic() {
         let ds = dataset();
-        let a = build_fleet(&ds, 6, 0.5, &mut SeededRng::new(7));
-        let b = build_fleet(&ds, 6, 0.5, &mut SeededRng::new(7));
+        let a = materialized_fleet(&ds, 6, 0.5, &mut SeededRng::new(7));
+        let b = materialized_fleet(&ds, 6, 0.5, &mut SeededRng::new(7));
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.device, y.device);
             assert_eq!(x.train_data.samples.len(), y.train_data.samples.len());

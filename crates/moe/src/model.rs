@@ -141,11 +141,6 @@ impl MoeModel {
         total
     }
 
-    /// FP32 bytes of the materialized parameters.
-    pub fn param_bytes(&self) -> usize {
-        self.num_params() * 4
-    }
-
     /// Immutable access to an expert by `(layer, compact id)`.
     pub fn expert(&self, key: ExpertKey) -> &Expert {
         &self.layers[key.layer].moe.experts[key.expert]

@@ -90,12 +90,6 @@ impl KMeans {
         self
     }
 
-    /// Sets the maximum number of Lloyd iterations.
-    pub fn with_max_iterations(mut self, iters: usize) -> Self {
-        self.max_iterations = iters;
-        self
-    }
-
     /// Clusters `data` (points in rows) into `k` groups.
     ///
     /// Initialization uses k-means++ seeding. Empty clusters are re-seeded

@@ -279,11 +279,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at `(row, col)`.
     ///
     /// # Panics

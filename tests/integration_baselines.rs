@@ -1,10 +1,12 @@
 //! Cross-crate integration tests of the baseline methods against a real
 //! fleet and parameter server.
 
+use std::sync::Arc;
+
 use flux_core::baselines::{fmd_local_round, fmes_local_round, fmq_local_round};
 use flux_core::profiling::QuantizedModelCache;
 use flux_data::{DatasetConfig, DatasetGenerator, DatasetKind};
-use flux_fl::{build_fleet, CostModel, ParameterServer, Participant, DEFAULT_SHARDS};
+use flux_fl::{CostModel, FleetSpec, ParameterServer, Participant, DEFAULT_SHARDS};
 use flux_moe::{MoeConfig, MoeModel};
 use flux_tensor::SeededRng;
 
@@ -18,7 +20,7 @@ fn setup() -> (MoeModel, Vec<Participant>, CostModel) {
             .with_mean_seq_len(10),
     )
     .generate(&mut rng);
-    let fleet = build_fleet(&data, 4, 0.5, &mut rng);
+    let fleet = FleetSpec::build(Arc::new(data), 4, 0.5, &mut rng).materialize_all();
     (model, fleet, CostModel::default())
 }
 
